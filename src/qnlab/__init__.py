@@ -10,6 +10,7 @@ from .spaces import (
     HornResult,
     OperatorSpec,
     Polytope,
+    Quadratic,
     QuasiNormedSpace,
     RConvexAtoms,
     Schatten,
@@ -41,8 +42,6 @@ from .interpolation import (
     KValue,
     NormPair,
     OperatorInterpolationResult,
-    QuadraticGauge,
-    SpaceGauge,
     SumRuleResult,
     ThetaNormResult,
     ThetaParams,

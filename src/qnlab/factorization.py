@@ -21,7 +21,6 @@ Quantities computed here come with explicit certification semantics:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,56 +28,8 @@ import numpy as np
 
 from .numkernel import RandomSource, as_matrix, frozen_array, singular_values, spd_power, svd
 from .randsigns import ConstantEstimate, _coordinate_ascent
-from .spaces import OperatorSpec, Polytope, QuasiNormedSpace, RConvexAtoms, WeightedLp
+from .spaces import OperatorSpec, QuasiNormedSpace, WeightedLp
 from .geometry import mvee_of_ball
-
-MAX_DUAL_CORNERS_DIM = 12
-
-
-def _ball_atoms(space: QuasiNormedSpace) -> tuple[np.ndarray, float] | None:
-    """Finite atom set whose e-convex hull is the unit ball, with e."""
-    if isinstance(space, WeightedLp):
-        if space.p <= 1.0 or math.isinf(space.p):
-            try:
-                return space.envelope_atoms(), space.r_exponent
-            except NotImplementedError:
-                return None
-        return None
-    if isinstance(space, (Polytope, RConvexAtoms)):
-        return space.envelope_atoms(), space.r_exponent
-    return None
-
-
-def _dual_atoms(space: QuasiNormedSpace) -> np.ndarray | None:
-    """Finite F with gauge(y) = max over f in F of <f, y>, if available."""
-    if isinstance(space, WeightedLp):
-        if math.isinf(space.p):
-            w = np.asarray(space.weights)
-            eye = np.diag(w)
-            return np.vstack([eye, -eye])
-        if space.p == 1.0:
-            d = space.dim
-            if d > MAX_DUAL_CORNERS_DIM:
-                return None
-            signs = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
-            return signs * np.asarray(space.weights)
-        return None
-    if isinstance(space, Polytope):
-        try:
-            normals = np.asarray(space.facet_normals)
-        except NotImplementedError:
-            return None
-        return np.vstack([normals, -normals])
-    if isinstance(space, RConvexAtoms) and space.r == 1.0:
-        return _dual_atoms(space.envelope_space())
-    return None
-
-
-def _quadratic_matrix(space: QuasiNormedSpace) -> np.ndarray | None:
-    if isinstance(space, WeightedLp) and space.p == 2.0:
-        return np.diag(np.asarray(space.weights))
-    return None
-
 
 @dataclass(frozen=True)
 class OpNormResult:
@@ -133,18 +84,18 @@ def op_norm(
     if not np.any(m):
         return OpNormResult(0.0, "exact")
     if method != "search":
-        atoms = _ball_atoms(u.source)
+        atoms = u.source.ball_atoms()
         if atoms is not None and atoms[1] <= u.target.r_exponent + 1e-15:
             values = u.target.gauge_many(atoms[0] @ m.T)
             return OpNormResult(float(values.max()), "exact")
-        qs = _quadratic_matrix(u.source)
+        qs = u.source.quadratic_form
         if qs is not None:
-            inv_half = np.diag(1.0 / np.sqrt(np.diag(qs)))
-            qt = _quadratic_matrix(u.target)
+            inv_half = spd_power(qs, -0.5)
+            qt = u.target.quadratic_form
             if qt is not None:
-                half_t = np.diag(np.sqrt(np.diag(qt)))
+                half_t = spd_power(qt, 0.5)
                 return OpNormResult(float(singular_values(half_t @ m @ inv_half)[0]), "exact")
-            dual = _dual_atoms(u.target)
+            dual = u.target.dual_atoms()
             if dual is not None:
                 pulled = dual @ m @ inv_half
                 return OpNormResult(float(np.sqrt((pulled**2).sum(axis=1)).max()), "exact")
@@ -160,9 +111,10 @@ def _op_norm_upper(
 ) -> tuple[float, str] | None:
     """A true upper bound on the operator norm, or None if unavailable.
 
-    Beyond the exact routes, a quadratic source against any weighted Lp
-    target admits the row bound (sum of w_i ||row_i||_2^p)^(1/p), since
-    every coordinate of the image is at most the row's Euclidean length.
+    Beyond the exact routes, a quadratic source against an unconditional
+    target admits the row bound: the target gauge of the vector of
+    whitened row lengths, since every coordinate of the image is at most
+    its row's length.
     """
     u = OperatorSpec(matrix, source, target)
     m = np.asarray(matrix)
@@ -173,12 +125,11 @@ def _op_norm_upper(
         return res.value, "exact"
     except ValueError:
         pass
-    qs = _quadratic_matrix(source)
-    if qs is not None and isinstance(target, WeightedLp) and not math.isinf(target.p):
-        rows = m @ np.diag(1.0 / np.sqrt(np.diag(qs)))
+    qs = source.quadratic_form
+    if qs is not None and target.is_unconditional:
+        rows = m @ spd_power(qs, -0.5)
         lengths = np.sqrt((rows**2).sum(axis=1))
-        w = np.asarray(target.weights)
-        return float((w @ lengths**target.p) ** (1.0 / target.p)), "upper-bound"
+        return target.gauge(lengths), "upper-bound"
     return None
 
 
@@ -399,7 +350,7 @@ class GaussianMean:
 def gaussian_mean(u: OperatorSpec, samples: int = 100_000, rng: RandomSource | None = None) -> GaussianMean:
     """Root mean square of the target gauge of the image of a standard
     Gaussian vector; standard error by batch means."""
-    if not (isinstance(u.source, WeightedLp) and u.source.is_euclidean):
+    if not u.source.is_euclidean:
         raise ValueError("gaussian mean needs a Euclidean source")
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
@@ -441,21 +392,19 @@ def approx_numbers(
         raise ValueError("k must be at least 1")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    qs = _quadratic_matrix(u.source)
+    qs = u.source.quadratic_form
     if qs is None:
         raise ValueError("approximation numbers need a quadratic source")
-    inv_half = np.diag(1.0 / np.sqrt(np.diag(qs)))
-    m = np.asarray(u.matrix) @ inv_half  # operator from the standard Euclidean ball
+    m = np.asarray(u.matrix) @ spd_power(qs, -0.5)  # operator from the standard Euclidean ball
     if not np.any(m):
         return ApproxNumber(0.0, "exact")
     s_all = singular_values(m)
     rank = int(np.sum(s_all > s_all[0] * 1e-12))
     if k > rank:
         return ApproxNumber(0.0, "exact")
-    qt = _quadratic_matrix(u.target)
+    qt = u.target.quadratic_form
     if qt is not None:
-        half_t = np.diag(np.sqrt(np.diag(qt)))
-        return ApproxNumber(float(singular_values(half_t @ m)[k - 1]), "exact")
+        return ApproxNumber(float(singular_values(spd_power(qt, 0.5) @ m)[k - 1]), "exact")
 
     middle = WeightedLp.euclidean(u.source.dim)
 

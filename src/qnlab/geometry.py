@@ -30,6 +30,7 @@ from .numkernel import (
     DegenerateMatrixError,
     RandomSource,
     as_matrix,
+    as_spd,
     frozen_array,
     spd_power,
 )
@@ -52,15 +53,7 @@ class Ellipsoid:
     shape: np.ndarray
 
     def __post_init__(self):
-        q = as_matrix(self.shape)
-        if q.shape[0] != q.shape[1]:
-            raise ValueError("shape matrix must be square")
-        scale = max(1.0, float(np.abs(q).max()))
-        if float(np.abs(q - q.T).max()) > 1e-10 * scale:
-            raise ValueError("shape matrix must be symmetric")
-        if np.linalg.eigvalsh(q).min() <= 0:
-            raise DegenerateMatrixError("shape matrix must be positive-definite")
-        object.__setattr__(self, "shape", frozen_array(0.5 * (q + q.T)))
+        object.__setattr__(self, "shape", frozen_array(as_spd(self.shape)))
 
     @classmethod
     def ball(cls, dim: int, radius: float = 1.0) -> "Ellipsoid":
@@ -290,6 +283,11 @@ def _mc_volume(space: QuasiNormedSpace, rng: RandomSource, samples: int) -> Volu
         hits += int(np.count_nonzero(space.gauge_many(pts) <= 1.0))
         done += take
         piece += 1
+    if hits == 0:
+        raise ValueError(
+            f"monte-carlo volume found {hits} hits in {samples} samples; "
+            "the ball is too thin in its enclosing ellipsoid for this sample count"
+        )
     rate = hits / samples
     value = vol_e * rate
     stderr = vol_e * math.sqrt(max(rate * (1.0 - rate), 0.0) / samples)
@@ -381,14 +379,6 @@ def vr(
     return RatioEstimate(value, stderr, surrogate_inscribed=not inner.maximal)
 
 
-def _dual_space(space: QuasiNormedSpace) -> QuasiNormedSpace:
-    if isinstance(space, WeightedLp):
-        return space.dual_space()
-    if isinstance(space, Polytope):
-        return space.dual_space()
-    raise ValueError("dual ball needs a convex WeightedLp or Polytope")
-
-
 @dataclass(frozen=True)
 class SantaloResult:
     outer_ratio: float
@@ -417,7 +407,7 @@ def santalo_check(
     """
     if space.r_exponent != 1.0:
         raise ValueError("polar comparison needs a convex ball")
-    dual = _dual_space(space)
+    dual = space.dual_space()
     d = space.dim
     outer_ell = mvee_of_ball(space, tolerance)
     vb = volume(space, "auto", rng.split(0) if rng else None, samples)

@@ -485,7 +485,7 @@ def _run_interp(config: ExperimentConfig):
     for t in (0.1, 1.0, 10.0):
         k2 = interpolation.k_functional(pair, 2.0, t, x)
         k1 = interpolation.k_functional(pair, 1.0, t, x)
-        trivial = min(pair.gauge0.value(x), t * pair.gauge1.value(x))
+        trivial = min(pair.space0.gauge(x), t * pair.space1.gauge(x))
         sandwich_ok &= k2.value <= k1.value + 1e-9
         sandwich_ok &= k1.lower <= math.sqrt(2.0) * k2.value + 1e-9
         sandwich_ok &= k1.value <= trivial + 1e-9

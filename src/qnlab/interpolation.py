@@ -1,20 +1,24 @@
-"""Two-gauge splitting functionals and the scale of spaces between them.
+"""Two-space splitting functionals and the scale of spaces between them.
 
-A pair of gauges (g0, g1) on the same R^n induces, for each t > 0, the
-splitting value ``K_s(t, x) = inf over x = x0 + x1 of
-(g0(x0)^s + t^s g1(x1)^s)^(1/s)``.  Integrating its s = 2 version against
-``t^(-1-2*theta)`` and normalizing by ``sqrt(theta*(1-theta))`` yields the
-intermediate gauge ``theta_norm``.
+A pair of quasi-normed spaces (X0, X1) on the same R^n, with gauges g0 and
+g1, induces for each t > 0 the splitting value ``K_s(t, x) = inf over
+x = x0 + x1 of (g0(x0)^s + t^s g1(x1)^s)^(1/s)``.  Integrating its s = 2
+version against ``t^(-1-2*theta)`` and normalizing by
+``sqrt(theta*(1-theta))`` yields the intermediate gauge ``theta_norm``.
 
-Exact paths:
+One route selector serves ``k_functional`` (at one t) and ``theta_norm``
+(at every quadrature node).  Its exact routes, tried in order:
 
-* both gauges quadratic and s = 2: the minimizing split solves the linear
-  system ``(A0 + t^2 A1) x0 = t^2 A1 x``; simultaneous diagonalization of
-  (A0, A1) also gives the intermediate gauge in closed form
+* equal spaces and s equal to the space's triangle exponent r:
+  ``K_r(t, x) = min(1, t) g(x)``;
+* both spaces with per-coordinate scales at exponent s (diagonal quadratic
+  pairs at s = 2, weighted Lp pairs with p0 = p1 = s, any pair in
+  dimension one): the infimum separates per coordinate;
+* both spaces quadratic and s = 2: simultaneous diagonalization of
+  (A0, A1) gives ``K_2(t, x)^2 = sum_i mu_i t^2 y_i^2 / (1 + mu_i t^2)``;
+  it also gives the intermediate gauge in closed form
   (``quadratic_theta_norm_exact``), which the numerical integrator is
-  tested against;
-* equal gauges and s equal to the gauge's triangle exponent r:
-  ``K_r(t, x) = min(1, t) g(x)`` exactly.
+  tested against.
 
 Everything else is a budgeted derivative-free minimization over splits;
 the returned value is then an upper estimate of the true infimum, bracketed
@@ -27,143 +31,61 @@ families exercised in the experiments).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 from scipy.optimize import minimize
 
-from .numkernel import RandomSource, as_matrix, as_vector, frozen_array
-from .spaces import OperatorSpec, QuasiNormedSpace, WeightedLp
+from .factorization import op_norm
+from .numkernel import RandomSource, as_matrix, as_vector
+from .spaces import OperatorSpec, QuasiNormedSpace, Quadratic
 from .randsigns import ConstantEstimate, _deterministic_tuple_starts, _search_tuples, rademacher_average
-
-
-class Gauge:
-    """A positively homogeneous functional on R^n used as one endpoint."""
-
-    dim: int
-    r_exponent: float
-
-    def value(self, x) -> float:
-        raise NotImplementedError
-
-    def value_many(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.array([self.value(p) for p in pts])
-
-
-@dataclass(frozen=True, eq=False)
-class QuadraticGauge(Gauge):
-    """g(x) = sqrt(x' A x) for a symmetric positive definite A."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        a = as_matrix(self.matrix)
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("quadratic gauge needs a square matrix")
-        if not np.allclose(a, a.T, atol=1e-12 * max(1.0, np.abs(a).max())):
-            raise ValueError("quadratic gauge needs a symmetric matrix")
-        if np.linalg.eigvalsh(a).min() <= 0:
-            raise ValueError("quadratic gauge needs a positive definite matrix")
-        object.__setattr__(self, "matrix", frozen_array(a))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def r_exponent(self) -> float:
-        return 1.0
-
-    @classmethod
-    def diagonal(cls, weights) -> "QuadraticGauge":
-        w = as_vector(weights)
-        if np.any(w <= 0):
-            raise ValueError("diagonal weights must be positive")
-        return cls(np.diag(w**2))
-
-    def value(self, x) -> float:
-        v = as_vector(x, self.dim)
-        return math.sqrt(float(v @ self.matrix @ v))
-
-    def value_many(self, points) -> np.ndarray:
-        pts = as_matrix(np.atleast_2d(np.asarray(points, dtype=float)), cols=self.dim)
-        return np.sqrt(np.einsum("ij,jk,ik->i", pts, self.matrix, pts))
-
-
-@dataclass(frozen=True, eq=False)
-class SpaceGauge(Gauge):
-    """The gauge of a finite-dimensional quasi-normed space."""
-
-    space: QuasiNormedSpace
-
-    def __post_init__(self):
-        if not isinstance(self.space, QuasiNormedSpace):
-            raise TypeError("SpaceGauge wraps a space object, not another gauge")
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    @property
-    def r_exponent(self) -> float:
-        return self.space.r_exponent
-
-    def value(self, x) -> float:
-        return self.space.gauge(x)
-
-    def value_many(self, points) -> np.ndarray:
-        return self.space.gauge_many(points)
 
 
 @dataclass(frozen=True, eq=False)
 class NormPair:
-    """Two gauges on the same coordinate space, ready for splitting."""
+    """Two spaces on the same coordinate space, ready for splitting."""
 
-    gauge0: Gauge
-    gauge1: Gauge
+    space0: QuasiNormedSpace
+    space1: QuasiNormedSpace
 
     def __post_init__(self):
-        if self.gauge0.dim != self.gauge1.dim:
-            raise ValueError("both gauges must live on the same dimension")
+        if self.space0.dim != self.space1.dim:
+            raise ValueError("both spaces must live on the same dimension")
 
     @property
     def dim(self) -> int:
-        return self.gauge0.dim
+        return self.space0.dim
 
     @property
     def r_exponent(self) -> float:
-        return min(self.gauge0.r_exponent, self.gauge1.r_exponent)
+        return min(self.space0.r_exponent, self.space1.r_exponent)
 
     @property
     def is_quadratic(self) -> bool:
-        return isinstance(self.gauge0, QuadraticGauge) and isinstance(self.gauge1, QuadraticGauge)
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.is_quadratic and all(
-            np.count_nonzero(g.matrix - np.diag(np.diag(g.matrix))) == 0
-            for g in (self.gauge0, self.gauge1)
-        )
+        return self.space0.quadratic_form is not None and self.space1.quadratic_form is not None
 
     @property
     def is_equal(self) -> bool:
-        return self.gauge0 is self.gauge1
+        return self.space0 is self.space1
 
     @classmethod
     def from_spaces(cls, space0: QuasiNormedSpace, space1: QuasiNormedSpace) -> "NormPair":
-        return cls(SpaceGauge(space0), SpaceGauge(space1))
+        return cls(space0, space1)
 
     @classmethod
     def equal(cls, space: QuasiNormedSpace) -> "NormPair":
-        g = SpaceGauge(space)
-        return cls(g, g)
+        return cls(space, space)
 
     @classmethod
     def diagonal(cls, weights0, weights1) -> "NormPair":
-        return cls(QuadraticGauge.diagonal(weights0), QuadraticGauge.diagonal(weights1))
+        """Quadratic pair with gauges ``sqrt(sum_i (w_i x_i)^2)``."""
+        w0, w1 = as_vector(weights0), as_vector(weights1)
+        if np.any(w0 <= 0) or np.any(w1 <= 0):
+            raise ValueError("diagonal weights must be positive")
+        return cls(Quadratic(np.diag(w0**2)), Quadratic(np.diag(w1**2)))
 
     @cached_property
     def _eigsplit(self) -> tuple[np.ndarray, np.ndarray]:
@@ -171,8 +93,9 @@ class NormPair:
         (A0, A1): V' A0 V = I, V' A1 V = diag(mu)."""
         if not self.is_quadratic:
             raise ValueError("eigen split needs a quadratic pair")
-        mu, vecs = scipy.linalg.eigh(self.gauge1.matrix, self.gauge0.matrix)
-        back = vecs.T @ self.gauge0.matrix
+        a0 = self.space0.quadratic_form
+        mu, vecs = scipy.linalg.eigh(self.space1.quadratic_form, a0)
+        back = vecs.T @ a0
         return np.maximum(mu, 0.0), back
 
     def equivalence_constants(
@@ -194,8 +117,8 @@ class NormPair:
         det = np.vstack([np.eye(d), np.ones((1, d))])
         extra = rng.generator().standard_normal((max(directions - det.shape[0], 0), d))
         pts = np.vstack([det, extra]) if extra.size else det
-        g0 = self.gauge0.value_many(pts)
-        g1 = self.gauge1.value_many(pts)
+        g0 = self.space0.gauge_many(pts)
+        g1 = self.space1.gauge_many(pts)
         if np.any(g0 <= 0) or np.any(g1 <= 0):
             raise ValueError("gauges must be positive on nonzero directions")
         ratio = g1 / g0
@@ -211,61 +134,15 @@ class KValue:
     exact: bool
 
 
-def _quadratic_k(pair: NormPair, t: float, x: np.ndarray) -> tuple[float, np.ndarray]:
-    a0 = pair.gauge0.matrix
-    a1 = pair.gauge1.matrix
-    system = a0 + t * t * a1
-    # solve for the small component to stay accurate at extreme t
-    if t >= 1.0:
-        x1 = np.linalg.solve(system, a0 @ x)
-        x0 = x - x1
-    else:
-        x0 = np.linalg.solve(system, t * t * (a1 @ x))
-        x1 = x - x0
-    val = math.sqrt(max(float(x0 @ a0 @ x0) + t * t * float(x1 @ a1 @ x1), 0.0))
-    return val, x0
-
-
-def _separable_scales(pair: NormPair, s: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per-coordinate scales (a, b) when the splitting infimum separates.
-
-    The s-combination of the two gauges decomposes coordinate-by-coordinate
-    exactly when both gauges aggregate coordinates with the same exponent s:
-    diagonal quadratic pairs at s = 2, weighted Lp pairs with p0 = p1 = s,
-    and any pair at all in dimension one.
-    """
-    if pair.dim == 1:
-        e = np.ones(1)
-        return pair.gauge0.value(e) * e, pair.gauge1.value(e) * e
-    if s == 2.0 and pair.is_diagonal:
-        return (
-            np.sqrt(np.diag(pair.gauge0.matrix)),
-            np.sqrt(np.diag(pair.gauge1.matrix)),
-        )
-    if isinstance(pair.gauge0, SpaceGauge) and isinstance(pair.gauge1, SpaceGauge):
-        sp0, sp1 = pair.gauge0.space, pair.gauge1.space
-        if (
-            isinstance(sp0, WeightedLp)
-            and isinstance(sp1, WeightedLp)
-            and not math.isinf(sp0.p)
-            and sp0.p == sp1.p == s
-        ):
-            return (
-                np.asarray(sp0.weights) ** (1.0 / s),
-                np.asarray(sp1.weights) ** (1.0 / s),
-            )
-    return None
-
-
-def _separable_k(a: np.ndarray, b: np.ndarray, t: float, x: np.ndarray, s: float) -> float:
-    """Exact splitting value from per-coordinate scales.
+def _separable_k(a: np.ndarray, b: np.ndarray, ts: np.ndarray, x: np.ndarray, s: float) -> np.ndarray:
+    """Exact splitting values at every t in ``ts`` from per-coordinate scales.
 
     Each coordinate minimizes ``(a y)^s + (t b (x - y))^s`` on its own: for
     s <= 1 the integrand is concave in the split, so an endpoint wins and
     the value is ``min(a, t b) |x_i|``; for s > 1 the interior optimum gives
     ``a (t b) / (a^q + (t b)^q)^(1/q) |x_i|`` with q = s/(s-1).
     """
-    c = t * b
+    c = ts[:, None] * b
     if s <= 1.0:
         per = np.minimum(a, c) * np.abs(x)
     else:
@@ -274,7 +151,24 @@ def _separable_k(a: np.ndarray, b: np.ndarray, t: float, x: np.ndarray, s: float
         lo = np.minimum(a, c)
         # (a^q + c^q)^(1/q) = m (1 + (lo/m)^q)^(1/q), overflow-safe
         per = lo * np.abs(x) / (1.0 + (lo / m) ** q) ** (1.0 / q)
-    return float(np.sum(per**s)) ** (1.0 / s)
+    return np.sum(per**s, axis=1) ** (1.0 / s)
+
+
+def _exact_k(pair: NormPair, s: float, ts: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """Exact splitting values of x at every t in ``ts``, or None when no
+    exact route covers the pair at exponent s (see the module docstring)."""
+    sp0, sp1 = pair.space0, pair.space1
+    if pair.is_equal and s == sp0.r_exponent:
+        return np.minimum(1.0, ts) * sp0.gauge(x)
+    a, b = sp0.coordinate_scales(s), sp1.coordinate_scales(s)
+    if a is not None and b is not None:
+        return _separable_k(a, b, ts, x, s)
+    if pair.is_quadratic and s == 2.0:
+        mu, back = pair._eigsplit
+        y2 = (back @ x) ** 2
+        tt = ts[:, None] ** 2
+        return np.sqrt(np.sum(mu * tt * y2 / (1.0 + mu * tt), axis=1))
+    return None
 
 
 def _search_k(
@@ -285,10 +179,10 @@ def _search_k(
     budget: int,
     warm_start: np.ndarray | None,
 ) -> tuple[float, np.ndarray]:
-    g0, g1 = pair.gauge0, pair.gauge1
+    g0, g1 = pair.space0.gauge, pair.space1.gauge
 
     def objective(x0):
-        return g0.value(x0) ** s + (t * g1.value(x - x0)) ** s
+        return g0(x0) ** s + (t * g1(x - x0)) ** s
 
     starts = [np.zeros_like(x), x.copy(), 0.5 * x]
     if pair.dim <= 8:
@@ -326,13 +220,11 @@ def k_functional(
 ) -> KValue:
     """Splitting value of x at parameter t with exponent s.
 
-    Exact when the pair is quadratic with s = 2 (linear-system split; a
-    per-coordinate closed form for diagonal pairs), when both gauges are
-    weighted Lp with p0 = p1 = s (the s-combination separates per
-    coordinate), in dimension one for every pair, or when both gauges are
-    the same object and s equals that gauge's triangle exponent.
-    Otherwise a budgeted split search returns an upper estimate together
-    with the analytic lower bound from the pair's equivalence constants.
+    Exact on the routes listed in the module docstring (equal spaces at
+    their triangle exponent, per-coordinate scales, quadratic pairs at
+    s = 2).  Otherwise a budgeted split search returns an upper estimate
+    together with the analytic lower bound from the pair's equivalence
+    constants.
     """
     if not (t > 0):
         raise ValueError("t must be positive")
@@ -343,23 +235,17 @@ def k_functional(
     v = as_vector(x, pair.dim)
     if not np.any(v):
         return KValue(0.0, 0.0, True)
-    if pair.is_equal and s == pair.gauge0.r_exponent:
-        val = min(1.0, t) * pair.gauge0.value(v)
-        return KValue(val, val, True)
-    scales = _separable_scales(pair, s)
-    if scales is not None:
-        val = _separable_k(scales[0], scales[1], t, v, s)
-        return KValue(val, val, True)
-    if pair.is_quadratic and s == 2.0:
-        val, _ = _quadratic_k(pair, t, v)
+    exact = _exact_k(pair, s, np.array([t]), v)
+    if exact is not None:
+        val = float(exact[0])
         return KValue(val, val, True)
     val, _ = _search_k(pair, t, v, s, budget, warm_start)
     c, cap = pair.equivalence_constants(rng)
     r = pair.r_exponent
     scale = 2.0 ** (1.0 / s - 1.0 / r)
     lower = scale * max(
-        min(1.0, t * c) * pair.gauge0.value(v),
-        min(1.0 / cap, t) * pair.gauge1.value(v),
+        min(1.0, t * c) * pair.space0.gauge(v),
+        min(1.0 / cap, t) * pair.space1.gauge(v),
     )
     return KValue(val, min(lower, val), False)
 
@@ -408,19 +294,16 @@ class ThetaNormResult:
 def theta_norm(pair: NormPair, params: ThetaParams, x) -> ThetaNormResult:
     """Intermediate gauge by log-space trapezoid quadrature plus analytic
     tails ``g1(x)^2 t_min^(2-2 theta)/(2-2 theta)`` and
-    ``g0(x)^2 t_max^(-2 theta)/(2 theta)``."""
+    ``g0(x)^2 t_max^(-2 theta)/(2 theta)``.  The splitting values at the
+    nodes come from the exact route when one covers the pair, else from a
+    warm-started split search at each node."""
     v = as_vector(x, pair.dim)
     th = params.theta
     if not np.any(v):
         return ThetaNormResult(0.0, th, 0.0)
     ts = np.geomspace(params.t_min, params.t_max, params.nodes)
-    if pair.is_quadratic:
-        mu, back = pair._eigsplit
-        y2 = (back @ v) ** 2
-        tt = ts[:, None] ** 2
-        ks2 = np.sum(mu[None, :] * tt * y2[None, :] / (1.0 + mu[None, :] * tt), axis=1)
-        ks = np.sqrt(ks2)
-    else:
+    ks = _exact_k(pair, 2.0, ts, v)
+    if ks is None:
         ks = np.empty(params.nodes)
         warm = None
         for i, t in enumerate(ts):
@@ -428,8 +311,8 @@ def theta_norm(pair: NormPair, params: ThetaParams, x) -> ThetaNormResult:
     u = np.log(ts)
     integrand = ks**2 * np.exp(-2.0 * th * u)
     core = float(_trapezoid(integrand, u))
-    g0x = pair.gauge0.value(v)
-    g1x = pair.gauge1.value(v)
+    g0x = pair.space0.gauge(v)
+    g1x = pair.space1.gauge(v)
     low_tail = g1x**2 * params.t_min ** (2.0 - 2.0 * th) / (2.0 - 2.0 * th)
     high_tail = g0x**2 * params.t_max ** (-2.0 * th) / (2.0 * th)
     total = core + low_tail + high_tail
@@ -462,29 +345,6 @@ def diagonal_theta_norm(weights0, weights1, x, theta: float) -> float:
         raise ValueError("theta must lie in (0, 1)")
     coeff = w0 ** (1.0 - theta) * w1**theta
     return theta_norm_constant(theta) * math.sqrt(float(np.sum((coeff * v) ** 2)))
-
-
-def _endpoint_op_norm(matrix: np.ndarray, src: Gauge, tgt: Gauge, rng: RandomSource | None):
-    """Operator norm between endpoint gauges; (value, kind)."""
-    if isinstance(src, QuadraticGauge) and isinstance(tgt, QuadraticGauge):
-        from .numkernel import spd_power, singular_values
-
-        t_half = spd_power(tgt.matrix, 0.5)
-        s_halfinv = spd_power(src.matrix, -0.5)
-        return float(singular_values(t_half @ matrix @ s_halfinv)[0]), "exact"
-    if isinstance(src, SpaceGauge) and isinstance(tgt, SpaceGauge):
-        from .factorization import op_norm
-
-        res = op_norm(OperatorSpec(matrix, src.space, tgt.space), rng=rng)
-        return res.value, res.kind
-    # mixed endpoints: witnessed maximum over sampled and axis directions
-    if rng is None:
-        rng = RandomSource(0, (31,))
-    d = src.dim
-    pts = np.vstack([np.eye(d), -np.eye(d), rng.generator().standard_normal((256, d))])
-    num = tgt.value_many(pts @ np.asarray(matrix).T)
-    den = src.value_many(pts)
-    return float(np.max(num / den)), "lower-bound"
 
 
 @dataclass(frozen=True)
@@ -522,8 +382,9 @@ def interp_operator_bound_check(
         raise ValueError("params.theta must match theta")
     if rng is None:
         rng = RandomSource(0, (47,))
-    n0, kind0 = _endpoint_op_norm(m, source.gauge0, target.gauge0, rng.split(0))
-    n1, kind1 = _endpoint_op_norm(m, source.gauge1, target.gauge1, rng.split(1))
+    end0 = op_norm(OperatorSpec(m, source.space0, target.space0), rng=rng.split(0))
+    end1 = op_norm(OperatorSpec(m, source.space1, target.space1), rng=rng.split(1))
+    n0, n1 = end0.value, end1.value
     rhs = n0 ** (1.0 - theta) * n1**theta
     d = source.dim
     pts = np.vstack([np.eye(d), rng.split(2).generator().standard_normal((max(directions - d, 0), d))])
@@ -533,7 +394,7 @@ def interp_operator_bound_check(
         if denom <= 0:
             continue
         lhs = max(lhs, theta_norm(target, params, m @ p).value / denom)
-    kind = "exact" if kind0 == kind1 == "exact" else "lower-bound"
+    kind = "exact" if end0.kind == end1.kind == "exact" else "lower-bound"
     passed = lhs <= rhs * (1.0 + tolerance)
     return OperatorInterpolationResult(lhs, rhs, n0, n1, kind, passed)
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 MAX_DENSE_DIM = 32
 
@@ -80,25 +79,23 @@ def singular_values(m) -> np.ndarray:
     return svd(m)[0]
 
 
-def solve_spd(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
+def as_spd(a) -> np.ndarray:
+    """Validate ``a`` as a symmetric positive-definite matrix.
 
-    Cholesky-based; raises :class:`DegenerateMatrixError` when ``a`` is not
-    positive-definite and ``ValueError`` when it is not symmetric (within
-    1e-12 relative).
+    Returns the symmetric part.  Asymmetry beyond 1e-10 relative raises
+    ``ValueError``; a matrix that is not positive-definite raises
+    :class:`DegenerateMatrixError`.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
-        raise ValueError("solve_spd needs a square matrix")
-    v = as_vector(b, dim=m.shape[0])
+        raise ValueError("matrix is not square")
     scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > 1e-12 * scale:
+    if float(np.abs(m - m.T).max()) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
-    try:
-        factor = scipy.linalg.cho_factor(m, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise DegenerateMatrixError("matrix is not positive-definite") from exc
-    return scipy.linalg.cho_solve(factor, v, check_finite=False)
+    m = 0.5 * (m + m.T)
+    if np.linalg.eigvalsh(m).min() <= 0:
+        raise DegenerateMatrixError("matrix is not positive-definite")
+    return m
 
 
 def spd_power(a, exponent: float) -> np.ndarray:
@@ -108,6 +105,27 @@ def spd_power(a, exponent: float) -> np.ndarray:
     if w.min() <= 0.0:
         raise DegenerateMatrixError("matrix is not positive-definite")
     return (q * w**exponent) @ q.T
+
+
+def gram_schmidt(rows, basis=(), skip_dependent: bool = False) -> np.ndarray:
+    """Ordered Gram-Schmidt: ``basis`` (orthonormal rows) extended by each
+    of ``rows`` in turn.
+
+    A row whose residual is at most 1e-10 of ``max(1, |row|)`` adds no new
+    direction; it is skipped when ``skip_dependent`` is set and raises
+    :class:`DegenerateMatrixError` otherwise.
+    """
+    out = list(basis)
+    for row in rows:
+        r = row.astype(float)
+        for b in out:
+            r = r - (r @ b) * b
+        nrm = np.linalg.norm(r)
+        if nrm > 1e-10 * max(1.0, np.linalg.norm(row)):
+            out.append(r / nrm)
+        elif not skip_dependent:
+            raise DegenerateMatrixError("basis rows are linearly dependent")
+    return np.array(out).reshape(len(out), -1)
 
 
 def orthonormal_complement(kernel, dim: int | None = None) -> np.ndarray:
@@ -127,32 +145,9 @@ def orthonormal_complement(kernel, dim: int | None = None) -> np.ndarray:
     d = K.shape[1]
     if dim is not None and d != dim:
         raise ValueError("kernel dimension mismatch")
-    basis: list[np.ndarray] = []
-
-    def _residual(vec):
-        r = vec.astype(float)
-        for b in basis:
-            r = r - (r @ b) * b
-        return r
-
-    for row in K:
-        r = _residual(row)
-        nrm = np.linalg.norm(r)
-        if nrm <= 1e-10 * max(1.0, np.linalg.norm(row)):
-            raise DegenerateMatrixError("kernel basis rows are linearly dependent")
-        basis.append(r / nrm)
-    k = len(basis)
-    comp: list[np.ndarray] = []
-    for j in range(d):
-        if len(comp) == d - k:
-            break
-        r = _residual(np.eye(d)[j])
-        for b in comp:
-            r = r - (r @ b) * b
-        nrm = np.linalg.norm(r)
-        if nrm > 1e-10:
-            comp.append(r / nrm)
-    return np.array(comp).reshape(len(comp), d)
+    basis = gram_schmidt(K)
+    full = gram_schmidt(np.eye(d), basis, skip_dependent=True)
+    return full[basis.shape[0]:]
 
 
 @dataclass(frozen=True)
@@ -183,16 +178,3 @@ class RandomSource:
 
     def split(self, *indices: int) -> "RandomSource":
         return RandomSource(self.seed, self.path + tuple(int(i) for i in indices))
-
-
-def gaussian_sample(rng: RandomSource, n: int) -> np.ndarray:
-    """``n`` i.i.d. standard normals, a pure function of (source, n)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return rng.generator().standard_normal(n)
-
-
-def gaussian_matrix(rng: RandomSource, rows: int, cols: int) -> np.ndarray:
-    if rows < 1 or cols < 1:
-        raise ValueError("need positive shape")
-    return rng.generator().standard_normal((rows, cols))

@@ -75,13 +75,6 @@ class FiniteAbelianGroup:
         table.setflags(write=False)
         return table
 
-    def add(self, i: int, j: int) -> int:
-        """Group addition on element indices."""
-        di, dj = self.digit_table[i], self.digit_table[j]
-        digits = (di + dj) % np.array(self.factors)
-        strides = np.cumprod((1,) + self.factors[:-1])
-        return int(np.dot(digits, strides))
-
 
 @dataclass(frozen=True)
 class Character:

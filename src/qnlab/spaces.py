@@ -1,16 +1,20 @@
 """Finite-dimensional quasi-normed spaces and their gauges.
 
-A space is a symmetric star body in R^d given in one of four concrete
+A space is a symmetric star body in R^d given in one of five concrete
 representations:
 
 * :class:`WeightedLp`  -- balls of weighted p-gauges, 0 < p <= infinity;
+* :class:`Quadratic`   -- ellipsoids ``x' A x <= 1``, A symmetric positive-definite;
 * :class:`Schatten`    -- singular-value p-gauges on small matrices, 0 < p <= 2;
 * :class:`Polytope`    -- convex hulls of symmetric vertex sets;
 * :class:`RConvexAtoms` -- r-convex hulls of small atom sets, 0 < r <= 1.
 
 Every space knows its gauge (Minkowski functional of the unit ball), the
 gauge of its convex envelope, and the dual gauge, i.e. the support function
-of the envelope ball.  Gauges satisfy the r-triangle inequality
+of the envelope ball.  The facts that exact routes elsewhere rest on are
+methods of the kind, ``None`` where a kind lacks them: the quadratic form,
+per-coordinate scales, and finite atom sets of the ball and of its dual.
+Gauges satisfy the r-triangle inequality
 ``gauge(x + y)**r <= gauge(x)**r + gauge(y)**r`` for the space's
 ``r_exponent``.  Spaces are immutable values: array fields are copied and
 frozen at construction and all methods are pure, so instances can be shared
@@ -41,8 +45,10 @@ from scipy.spatial import ConvexHull
 from .numkernel import (
     DegenerateMatrixError,
     as_matrix,
+    as_spd,
     as_vector,
     frozen_array,
+    gram_schmidt,
     orthonormal_complement,
     singular_values,
 )
@@ -87,13 +93,45 @@ class QuasiNormedSpace:
             f"{type(self).__name__} has no finite atomic description"
         )
 
+    def dual_space(self) -> "QuasiNormedSpace":
+        """Space whose gauge is this space's dual gauge (exact)."""
+        raise ValueError(f"{type(self).__name__} has no dual ball representation")
+
     @property
-    def is_atomic(self) -> bool:
+    def quadratic_form(self) -> np.ndarray | None:
+        """Matrix A with gauge(x) = sqrt(x' A x), or None."""
+        return None
+
+    @property
+    def is_euclidean(self) -> bool:
+        a = self.quadratic_form
+        return a is not None and bool(np.array_equal(a, np.eye(self.dim)))
+
+    @property
+    def is_unconditional(self) -> bool:
+        """Whether the gauge is nondecreasing in every |x_i|."""
+        return False
+
+    def coordinate_scales(self, s: float) -> np.ndarray | None:
+        """Scales a with gauge(x) = (sum_i (a_i |x_i|)^s)^(1/s), or None.
+
+        Every gauge in dimension one has them, at every exponent s.
+        """
+        if self.dim == 1:
+            e = np.ones(1)
+            return self.gauge(e) * e
+        return None
+
+    def ball_atoms(self) -> tuple[np.ndarray, float] | None:
+        """Finite atom set whose e-convex hull is the unit ball, with e."""
         try:
-            self.envelope_atoms()
-            return True
+            return self.envelope_atoms(), self.r_exponent
         except NotImplementedError:
-            return False
+            return None
+
+    def dual_atoms(self) -> np.ndarray | None:
+        """Finite F with gauge(y) = max over f in F of <f, y>, or None."""
+        return None
 
 
 def _dedup_rows(rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -157,8 +195,17 @@ class WeightedLp(QuasiNormedSpace):
         return frozen_array(self.weights ** (-1.0 / self.p))
 
     @property
-    def is_euclidean(self) -> bool:
-        return self.p == 2.0 and bool(np.all(self.weights == 1.0))
+    def quadratic_form(self) -> np.ndarray | None:
+        return np.diag(np.asarray(self.weights)) if self.p == 2.0 else None
+
+    @property
+    def is_unconditional(self) -> bool:
+        return True
+
+    def coordinate_scales(self, s: float) -> np.ndarray | None:
+        if not math.isinf(self.p) and self.p == s:
+            return np.asarray(self.weights) ** (1.0 / s)
+        return super().coordinate_scales(s)
 
     @property
     def is_unweighted(self) -> bool:
@@ -219,6 +266,63 @@ class WeightedLp(QuasiNormedSpace):
             corners = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
             return corners * s
         raise NotImplementedError("smooth Lp balls (1 < p < inf) are not atomic")
+
+    def dual_atoms(self) -> np.ndarray | None:
+        w = np.asarray(self.weights)
+        if math.isinf(self.p):
+            eye = np.diag(w)
+            return np.vstack([eye, -eye])
+        if self.p == 1.0 and self.dim <= MAX_ATOMS:
+            signs = np.array(list(itertools.product((-1.0, 1.0), repeat=self.dim)))
+            return signs * w
+        return None
+
+
+@dataclass(frozen=True, eq=False)
+class Quadratic(QuasiNormedSpace):
+    """Quadratic gauge ``sqrt(x' A x)`` of a symmetric positive-definite A:
+    the unit ball is the ellipsoid ``x' A x <= 1``; r_exponent 1."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", frozen_array(as_spd(self.matrix)))
+
+    @property
+    def dim(self) -> int:  # type: ignore[override]
+        return int(self.matrix.shape[0])
+
+    @property
+    def r_exponent(self) -> float:
+        return 1.0
+
+    @property
+    def quadratic_form(self) -> np.ndarray:
+        return self.matrix
+
+    def gauge(self, x) -> float:
+        v = as_vector(x, dim=self.dim)
+        return math.sqrt(float(v @ self.matrix @ v))
+
+    def gauge_many(self, points) -> np.ndarray:
+        pts = as_matrix(points, cols=self.dim)
+        return np.sqrt(np.einsum("ij,jk,ik->i", pts, self.matrix, pts))
+
+    def envelope_gauge(self, x) -> float:
+        return self.gauge(x)
+
+    def envelope_space(self) -> "Quadratic":
+        return self
+
+    def dual_gauge(self, f) -> float:
+        v = as_vector(f, dim=self.dim)
+        return math.sqrt(float(v @ np.linalg.solve(self.matrix, v)))
+
+    def coordinate_scales(self, s: float) -> np.ndarray | None:
+        a = self.matrix
+        if s == 2.0 and not np.any(a - np.diag(np.diag(a))):
+            return np.sqrt(np.diag(a))
+        return super().coordinate_scales(s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,19 +414,23 @@ class Polytope(QuasiNormedSpace):
 
     def gauge(self, x) -> float:
         v = as_vector(x, dim=self.dim)
-        if not np.any(v):
+        scale = float(np.max(np.abs(v)))
+        if scale == 0.0:
             return 0.0
+        # The gauge is positively homogeneous; solving at unit scale keeps
+        # tiny vectors from falling inside the LP's absolute feasibility
+        # tolerance (which would report gauge 0).
         m = self.vertices.shape[0]
         res = linprog(
             np.ones(m),
             A_eq=self.vertices.T,
-            b_eq=v,
+            b_eq=v / scale,
             bounds=(0, None),
             method="highs",
         )
         if res.status != 0:
             raise RuntimeError(f"gauge LP failed with status {res.status}")
-        return float(res.fun)
+        return float(res.fun) * scale
 
     def gauge_many(self, points) -> np.ndarray:
         pts = as_matrix(points, cols=self.dim)
@@ -342,6 +450,13 @@ class Polytope(QuasiNormedSpace):
 
     def envelope_atoms(self) -> np.ndarray:
         return np.asarray(self.extreme_vertices)
+
+    def dual_atoms(self) -> np.ndarray | None:
+        try:
+            normals = np.asarray(self.facet_normals)
+        except NotImplementedError:
+            return None
+        return np.vstack([normals, -normals])
 
     @cached_property
     def extreme_vertices(self) -> np.ndarray:
@@ -469,6 +584,9 @@ class RConvexAtoms(QuasiNormedSpace):
         a = np.asarray(self.atoms)
         return _dedup_rows(np.vstack([a, -a]))
 
+    def dual_atoms(self) -> np.ndarray | None:
+        return self.envelope_space().dual_atoms() if self.r == 1.0 else None
+
 
 @dataclass(frozen=True, eq=False)
 class OperatorSpec:
@@ -595,17 +713,7 @@ def polytope_section(space: Polytope, basis) -> Polytope:
     k = B.shape[0]
     if not (1 <= k < space.dim):
         raise ValueError("subspace must be proper and nonzero")
-    # orthonormalize rows in order
-    U = []
-    for row in B:
-        r = row.astype(float)
-        for u in U:
-            r -= (r @ u) * u
-        nrm = np.linalg.norm(r)
-        if nrm <= 1e-10:
-            raise DegenerateMatrixError("section basis rows are dependent")
-        U.append(r / nrm)
-    U = np.array(U)
+    U = gram_schmidt(B)
     A = np.asarray(space.facet_normals) @ U.T  # constraints <a, y> <= 1
     if k == 1:
         pos = A[:, 0]

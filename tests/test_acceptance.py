@@ -224,7 +224,7 @@ def test_criterion_05_theta_norm_constant_sandwich_and_operator_bound():
         pair_equal = NormPair.diagonal(scales, scales)
         ratio = (
             theta_norm(pair_equal, ThetaParams(theta), x).value
-            / pair_equal.gauge0.value(x)
+            / pair_equal.space0.gauge(x)
         )
         if not (lo <= ratio <= hi):
             sandwich_bad += 1

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qnlab.numkernel import RandomSource, singular_values
 from qnlab.factorization import (
@@ -18,7 +19,7 @@ from qnlab.factorization import (
     op_norm,
     weak_cotype2_profile,
 )
-from qnlab.spaces import OperatorSpec, Polytope, WeightedLp
+from qnlab.spaces import OperatorSpec, Polytope, Quadratic, WeightedLp
 
 EUCLID2 = WeightedLp.euclidean(2)
 EUCLID3 = WeightedLp.euclidean(3)
@@ -51,6 +52,17 @@ class TestOpNorm:
         )
         assert res.kind == "lower-bound"
         assert res.value == pytest.approx(2.0 ** 1.5, rel=1e-6)
+
+    def test_quadratic_spaces_exact(self):
+        gen = RandomSource(31).generator()
+        g0, g1 = gen.standard_normal((3, 3)), gen.standard_normal((3, 3))
+        a_s, a_t = g0 @ g0.T + np.eye(3), g1 @ g1.T + np.eye(3)
+        m = gen.standard_normal((3, 3))
+        res = op_norm(OperatorSpec(m, Quadratic(a_s), Quadratic(a_t)))
+        assert res.kind == "exact"
+        # s_1(A_t^(1/2) M A_s^(-1/2))^2 is the top eigenvalue of (M' A_t M, A_s)
+        top = scipy.linalg.eigh(m.T @ a_t @ m, a_s, eigvals_only=True)[-1]
+        assert res.value == pytest.approx(math.sqrt(top), rel=1e-10)
 
     def test_zero_operator(self):
         res = op_norm(OperatorSpec(np.zeros((2, 2)), EUCLID2, EUCLID2))

@@ -158,6 +158,13 @@ class TestVolume:
         with pytest.raises(ValueError):
             volume(WeightedLp.unweighted(0.5, 2), method="triangulation")
 
+    def test_monte_carlo_without_hits_raises(self):
+        # the 0.2-hull of the axes is a sliver of its enclosing ball, so no
+        # sample lands inside; the ratio must not divide by a zero estimate
+        thin = RConvexAtoms(np.eye(6), 0.2)
+        with pytest.raises(ValueError, match="0 hits in 10000 samples"):
+            vr_star(thin, RandomSource(1), 10_000)
+
 
 class TestVolumeRatios:
     def test_square_inner_ratio(self):

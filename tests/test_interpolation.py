@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from qnlab.numkernel import RandomSource
 from qnlab.interpolation import (
     NormPair,
-    QuadraticGauge,
-    SpaceGauge,
     ThetaParams,
     diagonal_theta_norm,
     ell2_sum_theta_check,
@@ -22,7 +20,7 @@ from qnlab.interpolation import (
     theta_norm,
     theta_norm_constant,
 )
-from qnlab.spaces import WeightedLp
+from qnlab.spaces import Quadratic, WeightedLp
 
 scales = st.floats(min_value=0.2, max_value=5.0, allow_nan=False)
 
@@ -33,24 +31,24 @@ def scale_vectors(dim):
 
 class TestGauges:
     def test_diagonal_quadratic_scale_convention(self):
-        g = QuadraticGauge.diagonal([2.0, 3.0])
-        assert g.value([1.0, 0.0]) == pytest.approx(2.0)
-        assert g.value([0.0, 1.0]) == pytest.approx(3.0)
+        g = NormPair.diagonal([2.0, 3.0], [1.0, 1.0]).space0
+        assert g.gauge([1.0, 0.0]) == pytest.approx(2.0)
+        assert g.gauge([0.0, 1.0]) == pytest.approx(3.0)
         assert np.allclose(g.matrix, np.diag([4.0, 9.0]))
 
     def test_space_gauge_wraps_spaces_only(self):
-        g = SpaceGauge(WeightedLp.euclidean(2))
-        assert g.value([3.0, 4.0]) == pytest.approx(5.0)
-        with pytest.raises(TypeError):
-            SpaceGauge(g)
+        sp = WeightedLp.euclidean(2)
+        pair = NormPair.from_spaces(sp, WeightedLp.unweighted(1.0, 2))
+        assert pair.space0 is sp
+        assert pair.space0.gauge([3.0, 4.0]) == pytest.approx(5.0)
 
     def test_pair_validation(self):
         with pytest.raises(ValueError):
-            NormPair(QuadraticGauge.diagonal([1.0]), QuadraticGauge.diagonal([1.0, 2.0]))
+            NormPair(Quadratic(np.diag([1.0])), Quadratic(np.diag([1.0, 4.0])))
 
     def test_pair_flags(self):
         quad = NormPair.diagonal([1.0, 2.0], [2.0, 1.0])
-        assert quad.is_quadratic and quad.is_diagonal
+        assert quad.is_quadratic and quad.space0.coordinate_scales(2.0) is not None
         mixed = NormPair.from_spaces(WeightedLp.euclidean(2), WeightedLp.unweighted(1.0, 2))
         assert not mixed.is_quadratic
 
@@ -78,7 +76,7 @@ class TestSplitFunctional:
         assert kv.value == pytest.approx(4.0)
 
     def test_one_dim_mixed_pair(self):
-        pair = NormPair(QuadraticGauge(np.array([[16.0]])), SpaceGauge(WeightedLp(1.0, [3.0])))
+        pair = NormPair(Quadratic(np.array([[16.0]])), WeightedLp(1.0, [3.0]))
         kv = k_functional(pair, 1.0, 2.0, [1.0])
         assert kv.exact
         assert kv.value == pytest.approx(min(4.0, 6.0))
@@ -97,7 +95,7 @@ class TestSplitFunctional:
             kv = k_functional(pair, 1.0, t, x, budget=150, rng=RandomSource(3))
             assert not kv.exact
             assert kv.lower <= kv.value * (1 + 1e-12)
-            assert kv.value <= min(pair.gauge0.value(x), t * pair.gauge1.value(x)) + 1e-9
+            assert kv.value <= min(pair.space0.gauge(x), t * pair.space1.gauge(x)) + 1e-9
 
     def test_monotone_in_t(self):
         pair = NormPair.diagonal([1.0, 2.0, 3.0], [2.5, 0.7, 1.1])
@@ -129,6 +127,21 @@ class TestSplitFunctional:
         per = w0 * c * np.abs(x) / np.sqrt(w0**2 + c**2)
         assert kv.exact
         assert kv.value == pytest.approx(float(np.sqrt(np.sum(per**2))), rel=1e-10)
+
+    def test_general_quadratic_split_matches_linear_system(self):
+        gen = RandomSource(29).generator()
+        g0, g1 = gen.standard_normal((3, 3)), gen.standard_normal((3, 3))
+        pair = NormPair(Quadratic(g0 @ g0.T + np.eye(3)), Quadratic(g1 @ g1.T + np.eye(3)))
+        x = gen.standard_normal(3)
+        a0, a1 = pair.space0.matrix, pair.space1.matrix
+        for t in (1e-3, 0.5, 2.0, 1e3):
+            # the minimizing split solves (A0 + t^2 A1) x0 = t^2 A1 x
+            x0 = np.linalg.solve(a0 + t * t * a1, t * t * (a1 @ x))
+            x1 = x - x0
+            want = math.sqrt(x0 @ a0 @ x0 + t * t * (x1 @ a1 @ x1))
+            kv = k_functional(pair, 2.0, t, x)
+            assert kv.exact
+            assert kv.value == pytest.approx(want, rel=1e-10)
 
 
 class TestIntermediateGauge:
@@ -171,11 +184,29 @@ class TestIntermediateGauge:
             g1 = gen.standard_normal((3, 3))
             a0 = g0 @ g0.T + np.eye(3)
             a1 = g1 @ g1.T + np.eye(3)
-            pair = NormPair(QuadraticGauge(a0), QuadraticGauge(a1))
+            pair = NormPair(Quadratic(a0), Quadratic(a1))
             x = gen.standard_normal(3)
             exact = quadratic_theta_norm_exact(pair, x, 0.5)
             quad = theta_norm(pair, ThetaParams(0.5), x).value
             assert quad == pytest.approx(exact, rel=1e-3)
+
+    def test_weighted_l2_spaces_take_the_exact_route(self):
+        gen = RandomSource(23).generator()
+        w0, w1 = gen.uniform(0.5, 2.0, 2), gen.uniform(0.5, 2.0, 2)
+        x = gen.standard_normal(2)
+        params = ThetaParams(0.4, nodes=50, t_min=1e-5, t_max=1e5, budget=20)
+        spaces = NormPair.from_spaces(WeightedLp(2.0, w0**2), WeightedLp(2.0, w1**2))
+        assert spaces.is_quadratic
+        got = theta_norm(spaces, params, x).value
+        want = theta_norm(NormPair.diagonal(w0, w1), params, x).value
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_one_dim_mixed_pair_takes_the_exact_route(self):
+        params = ThetaParams(0.5, nodes=50, t_min=1e-5, t_max=1e5, budget=20)
+        mixed = NormPair(Quadratic([[16.0]]), WeightedLp(1.0, [3.0]))
+        got = theta_norm(mixed, params, [1.5]).value
+        want = theta_norm(NormPair.diagonal([4.0], [3.0]), params, [1.5]).value
+        assert got == pytest.approx(want, rel=1e-12)
 
     @given(scale_vectors(2), scale_vectors(2), st.floats(min_value=-2.0, max_value=2.0))
     @settings(max_examples=30, deadline=None)

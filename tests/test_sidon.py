@@ -33,15 +33,6 @@ class TestGroups:
         # index i has digits (i mod 2, i // 2 mod 3) with column strides (1, 2)
         assert list(table[3]) == [1, 1]
 
-    def test_add_is_componentwise_modular(self):
-        g = FiniteAbelianGroup((2, 3))
-        for i in range(g.order):
-            for j in range(g.order):
-                k = g.add(i, j)
-                assert np.array_equal(
-                    g.digit_table[k], (g.digit_table[i] + g.digit_table[j]) % [2, 3]
-                )
-
     def test_sign_group_flag(self):
         assert Z22.is_sign_group
         assert not FiniteAbelianGroup((2, 3)).is_sign_group

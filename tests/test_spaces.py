@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnlab.numkernel import RandomSource
+from qnlab.numkernel import DegenerateMatrixError, RandomSource
 from qnlab.spaces import (
     OperatorSpec,
     Polytope,
+    Quadratic,
     RConvexAtoms,
     Schatten,
     WeightedLp,
@@ -170,6 +171,12 @@ class TestPolytopeAndAtoms:
         assert SQUARE.gauge([2.0, 0.0]) == pytest.approx(2.0)
         assert SQUARE.gauge([1.0, 1.0]) == pytest.approx(1.0)
 
+    def test_gauge_of_tiny_vectors_is_homogeneous(self):
+        # vectors below the LP's feasibility tolerance must not read as 0
+        for t in (1e-9, 1e-300):
+            assert SQUARE.gauge([2.0 * t, 0.0]) == pytest.approx(2.0 * t)
+            assert SQUARE.gauge([t, t]) == pytest.approx(t)
+
     def test_polytope_requires_symmetry_and_span(self):
         with pytest.raises(ValueError):
             Polytope(np.array([[1.0, 0.0], [0.0, 1.0]]))  # not symmetric
@@ -182,11 +189,35 @@ class TestPolytopeAndAtoms:
         with pytest.raises(ValueError):
             RConvexAtoms(np.zeros((2, 2)), 0.5)
 
-    def test_atomic_flags(self):
-        assert SQUARE.is_atomic
-        assert RConvexAtoms(np.eye(2), 0.5).is_atomic
-        assert WeightedLp.unweighted(0.5, 2).is_atomic
-        assert not WeightedLp.euclidean(2).is_atomic
+
+class TestQuadratic:
+    def test_gauge_dual_and_envelope(self):
+        sp = Quadratic([[2.0, 1.0], [1.0, 2.0]])
+        x = np.array([1.0, -2.0])
+        assert sp.gauge(x) == pytest.approx(math.sqrt(x @ sp.matrix @ x))
+        assert np.allclose(sp.gauge_many(np.vstack([x, 2 * x])), [sp.gauge(x), 2 * sp.gauge(x)])
+        assert sp.r_exponent == 1.0
+        assert sp.envelope_space() is sp
+        assert sp.dual_gauge(x) == pytest.approx(math.sqrt(x @ np.linalg.inv(sp.matrix) @ x))
+        # the pairing attains dual gauge times gauge at f = A x
+        f = sp.matrix @ x
+        assert f @ x == pytest.approx(sp.dual_gauge(f) * sp.gauge(x))
+
+    def test_kind_facts(self):
+        sp = Quadratic([[2.0, 1.0], [1.0, 2.0]])
+        assert sp.quadratic_form is sp.matrix
+        assert sp.coordinate_scales(2.0) is None
+        assert sp.ball_atoms() is None
+        assert np.allclose(Quadratic(np.diag([4.0, 9.0])).coordinate_scales(2.0), [2.0, 3.0])
+        assert np.array_equal(WeightedLp(2.0, [1.0, 3.0]).quadratic_form, np.diag([1.0, 3.0]))
+        assert WeightedLp.unweighted(1.0, 2).quadratic_form is None
+        assert Quadratic(np.eye(2)).is_euclidean
+
+    def test_validation(self):
+        with pytest.raises(DegenerateMatrixError):
+            Quadratic(np.diag([1.0, 0.0]))
+        with pytest.raises(ValueError, match="not symmetric"):
+            Quadratic([[1.0, 0.5], [0.0, 1.0]])
 
 
 class TestOperators:
