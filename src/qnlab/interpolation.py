@@ -20,8 +20,18 @@ One route selector serves ``k_functional`` (at one t) and ``theta_norm``
   (``quadratic_theta_norm_exact``), which the numerical integrator is
   tested against.
 
-Everything else is a budgeted derivative-free minimization over splits;
-the returned value is then an upper estimate of the true infimum, bracketed
+Everything else is a budgeted Nelder-Mead minimization over splits x0,
+run in two stages over all the nodes at once (``_search_k``):
+
+1. cold starts: the starts 0, x, x/2 and the coordinate masks of x at every
+   node run as one lockstep batch of simplices (``_nelder_mead_many``)
+   whose stages are single ``gauge_many`` calls; the kernel takes the same
+   steps as ``scipy.optimize.minimize(method="Nelder-Mead")`` on each
+   simplex;
+2. warm-start chain: node by node, one scalar solve through ``minimize``
+   from the best split of the previous node.
+
+The returned value is then an upper estimate of the true infimum, bracketed
 below by ``2^(1/s - 1/r) * max(min(1, t c) g0(x), min(1/C, t) g1(x))``
 where c <= g1/g0 <= C are the pair's equivalence constants (sampled with
 deterministic axis directions included, hence exact for the diagonal
@@ -171,42 +181,163 @@ def _exact_k(pair: NormPair, s: float, ts: np.ndarray, x: np.ndarray) -> np.ndar
     return None
 
 
+# Nelder-Mead coefficients and start-simplex steps, as in scipy's
+# ``_minimize_neldermead`` (non-adaptive): reflection, expansion,
+# contraction, shrink; a 5% step, or 0.00025 where a coordinate is zero.
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+_XATOL, _FATOL = 1e-10, 1e-14
+
+
+def _nelder_mead_many(
+    objective, x0: np.ndarray, maxfev: int, xatol: float, fatol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Independent Nelder-Mead minimizations run in lockstep.
+
+    Row m of ``x0`` starts simplex m.  ``objective(points, rows)`` returns
+    the values at ``points``, where ``rows[k]`` is the simplex that point k
+    belongs to.  Each stage (start simplex, reflection, expansion or
+    contraction, shrink) is one objective call for every simplex that
+    needs it.  Simplex by simplex, the steps, the ``argsort`` orderings,
+    the ``xatol``/``fatol`` stop and the ``maxfev`` accounting are those of
+    ``scipy.optimize.minimize(method="Nelder-Mead")``, including a budget
+    that runs out inside an iteration (the pending step is dropped) or a
+    shrink (the vertices moved so far stay moved, the last one unevaluated).
+    Returns ``(x, fun)`` per simplex.
+    """
+    m, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    for k in range(n):
+        col = sim[:, k + 1, k]
+        sim[:, k + 1, k] = np.where(col != 0, (1 + _NONZDELT) * col, _ZDELT)
+    fsim = np.full((m, n + 1), np.inf)
+    first = min(n + 1, maxfev)
+    fsim[:, :first] = objective(
+        sim[:, :first].reshape(-1, n), np.repeat(np.arange(m), first)
+    ).reshape(m, first)
+    for _ in range(2):  # scipy sorts twice after the start simplex
+        order = np.argsort(fsim, axis=1)
+        sim = np.take_along_axis(sim, order[:, :, None], axis=1)
+        fsim = np.take_along_axis(fsim, order, axis=1)
+    fcalls = np.full(m, first)
+    live = np.flatnonzero(fcalls < maxfev)
+    while live.size:
+        sm, fs = sim[live], fsim[live]
+        converged = (np.abs(sm[:, 1:] - sm[:, :1]).max(axis=(1, 2)) <= xatol) & (
+            np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol
+        )
+        act = ~converged
+        live, sm, fs = live[act], sm[act], fs[act]
+        if not live.size:
+            break
+        xbar = sm[:, 0].copy()
+        for j in range(1, n):
+            xbar += sm[:, j]
+        xbar /= n
+        worst = sm[:, -1]
+        xr = (1 + _RHO) * xbar - _RHO * worst
+        fxr = objective(xr, live)
+        fcalls[live] += 1
+        # second evaluation: expansion, or contraction outside or inside
+        expand = fxr < fs[:, 0]
+        accept_r = ~expand & (fxr < fs[:, -2])
+        outside = ~expand & ~accept_r & (fxr < fs[:, -1])
+        second = ~accept_r & (fcalls[live] < maxfev)
+        x2 = np.where(
+            expand[:, None],
+            (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
+            np.where(
+                outside[:, None],
+                (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
+                (1 - _PSI) * xbar + _PSI * worst,
+            ),
+        )
+        f2 = np.full(live.size, np.nan)
+        f2[second] = objective(x2[second], live[second])
+        fcalls[live[second]] += 1
+        better = np.where(expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < fs[:, -1]))
+        take_r = accept_r | (second & expand & ~better)
+        take_2 = second & better
+        shrink = second & ~expand & ~better
+        sm[take_r, -1], fs[take_r, -1] = xr[take_r], fxr[take_r]
+        sm[take_2, -1], fs[take_2, -1] = x2[take_2], f2[take_2]
+        if shrink.any():
+            rows = np.flatnonzero(shrink)
+            best = sm[rows, :1]
+            moved = best + _SIGMA * (sm[rows, 1:] - best)
+            left = maxfev - fcalls[live[rows]]  # evaluations the budget allows
+            vertex = np.arange(n)
+            # vertices 1..left are moved and evaluated; vertex left + 1, if
+            # any, is moved when the budget runs out and keeps its old value
+            r, j = np.nonzero(vertex <= left[:, None])
+            sm[rows[r], j + 1] = moved[r, j]
+            r, j = np.nonzero(vertex < left[:, None])
+            fs[rows[r], j + 1] = objective(moved[r, j], live[rows[r]])
+            fcalls[live[rows]] += np.minimum(left, n)
+        order = np.argsort(fs, axis=1)
+        sim[live] = np.take_along_axis(sm, order[:, :, None], axis=1)
+        fsim[live] = np.take_along_axis(fs, order, axis=1)
+        live = live[fcalls[live] < maxfev]
+    return sim[:, 0], fsim.min(axis=1)
+
+
 def _search_k(
     pair: NormPair,
-    t: float,
+    ts: np.ndarray,
     x: np.ndarray,
     s: float,
     budget: int,
     warm_start: np.ndarray | None,
-) -> tuple[float, np.ndarray]:
-    g0, g1 = pair.space0.gauge, pair.space1.gauge
+) -> np.ndarray:
+    """Searched splitting values of x at every t in ``ts``.
 
-    def objective(x0):
-        return g0(x0) ** s + (t * g1(x - x0)) ** s
-
-    starts = [np.zeros_like(x), x.copy(), 0.5 * x]
+    Each node minimizes ``g0(x0)^s + (t g1(x - x0))^s`` with Nelder-Mead
+    from the cold starts 0, x, x/2 and (for d <= 8) the coordinate masks of
+    x, then from a warm start: ``warm_start`` at the first node, the best
+    split of the previous node after that.  The cold starts of all nodes
+    run as one lockstep batch over ``gauge_many``; the warm starts form a
+    chain node by node through ``minimize``.  A node keeps the first
+    smallest value in the order start value, result, start by start, warm
+    start last.
+    """
+    sp0, sp1 = pair.space0, pair.space1
+    starts = [np.zeros_like(x), x, 0.5 * x]
     if pair.dim <= 8:
-        for i in range(pair.dim):
-            mask = np.zeros_like(x)
-            mask[i] = x[i]
-            starts.append(mask)
-    if warm_start is not None:
-        starts.append(np.asarray(warm_start, dtype=float))
-    best_val = math.inf
-    best_x0 = starts[0]
-    for s0 in starts:
-        val = objective(s0)
-        if val < best_val:
-            best_val, best_x0 = val, s0.copy()
-        res = minimize(
-            objective,
-            s0,
-            method="Nelder-Mead",
-            options={"maxfev": budget, "xatol": 1e-10, "fatol": 1e-14},
-        )
-        if res.fun < best_val:
-            best_val, best_x0 = float(res.fun), np.asarray(res.x, dtype=float)
-    return best_val ** (1.0 / s), best_x0
+        starts.extend(np.diag(x))
+    starts = np.array(starts)
+    ns, nt = len(starts), len(ts)
+    cold = np.tile(starts, (nt, 1))
+    t_cold = np.repeat(ts, ns)
+
+    def batch(points, rows):
+        return sp0.gauge_many(points) ** s + (t_cold[rows] * sp1.gauge_many(x - points)) ** s
+
+    res_x, res_f = _nelder_mead_many(batch, cold, budget, _XATOL, _FATOL)
+    start_f = batch(cold, np.arange(cold.shape[0]))
+    # start value then result, start by start: argmin keeps the first minimum
+    seq = np.stack([start_f, res_f], axis=1).reshape(nt, 2 * ns)
+    pick = np.argmin(seq, axis=1)
+    vals = seq[np.arange(nt), pick]
+    picked = ns * np.arange(nt) + pick // 2
+    best = np.where((pick % 2 == 0)[:, None], cold[picked], res_x[picked])
+    options = {"maxfev": budget, "xatol": _XATOL, "fatol": _FATOL}
+    ks = np.empty(nt)
+    warm = warm_start
+    for i, t in enumerate(ts):
+        if warm is not None:
+
+            def objective(x0):
+                return sp0.gauge(x0) ** s + (t * sp1.gauge(x - x0)) ** s
+
+            val = objective(warm)
+            if val < vals[i]:
+                vals[i], best[i] = val, warm
+            res = minimize(objective, warm, method="Nelder-Mead", options=options)
+            if res.fun < vals[i]:
+                vals[i], best[i] = res.fun, res.x
+        ks[i] = vals[i] ** (1.0 / s)  # a scalar power, as array powers round differently
+        warm = best[i]
+    return ks
 
 
 def k_functional(
@@ -233,13 +364,16 @@ def k_functional(
     if not (s > 0) or s < pair.r_exponent:
         raise ValueError("need exponent s >= the pair's triangle exponent")
     v = as_vector(x, pair.dim)
+    if warm_start is not None:
+        warm_start = as_vector(warm_start, pair.dim)
     if not np.any(v):
         return KValue(0.0, 0.0, True)
-    exact = _exact_k(pair, s, np.array([t]), v)
+    ts = np.array([t])
+    exact = _exact_k(pair, s, ts, v)
     if exact is not None:
         val = float(exact[0])
         return KValue(val, val, True)
-    val, _ = _search_k(pair, t, v, s, budget, warm_start)
+    val = float(_search_k(pair, ts, v, s, budget, warm_start)[0])
     c, cap = pair.equivalence_constants(rng)
     r = pair.r_exponent
     scale = 2.0 ** (1.0 / s - 1.0 / r)
@@ -295,8 +429,9 @@ def theta_norm(pair: NormPair, params: ThetaParams, x) -> ThetaNormResult:
     """Intermediate gauge by log-space trapezoid quadrature plus analytic
     tails ``g1(x)^2 t_min^(2-2 theta)/(2-2 theta)`` and
     ``g0(x)^2 t_max^(-2 theta)/(2 theta)``.  The splitting values at the
-    nodes come from the exact route when one covers the pair, else from a
-    warm-started split search at each node."""
+    nodes come from the exact route when one covers the pair, else from the
+    two-stage split search: the cold starts of every node as one lockstep
+    Nelder-Mead batch, then a warm-start chain from node to node."""
     v = as_vector(x, pair.dim)
     th = params.theta
     if not np.any(v):
@@ -304,10 +439,7 @@ def theta_norm(pair: NormPair, params: ThetaParams, x) -> ThetaNormResult:
     ts = np.geomspace(params.t_min, params.t_max, params.nodes)
     ks = _exact_k(pair, 2.0, ts, v)
     if ks is None:
-        ks = np.empty(params.nodes)
-        warm = None
-        for i, t in enumerate(ts):
-            ks[i], warm = _search_k(pair, t, v, 2.0, params.budget, warm)
+        ks = _search_k(pair, ts, v, 2.0, params.budget, None)
     u = np.log(ts)
     integrand = ks**2 * np.exp(-2.0 * th * u)
     core = float(_trapezoid(integrand, u))

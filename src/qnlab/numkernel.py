@@ -30,7 +30,7 @@ def as_vector(x, dim=None) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got array of shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite entries")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
@@ -42,7 +42,7 @@ def as_matrix(a, rows=None, cols=None) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     if rows is not None and m.shape[0] != rows:
         raise ValueError(f"row mismatch: expected {rows}, got {m.shape[0]}")

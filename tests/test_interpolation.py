@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.optimize import minimize
+
+from qnlab import interpolation
 from qnlab.numkernel import RandomSource
 from qnlab.interpolation import (
     NormPair,
@@ -116,6 +119,15 @@ class TestSplitFunctional:
         concave = NormPair.equal(WeightedLp.unweighted(0.5, 2))
         with pytest.raises(ValueError):
             k_functional(concave, 0.25, 1.0, [1.0, 1.0])
+
+    def test_warm_start_is_validated(self):
+        sp = WeightedLp.unweighted(0.5, 3)
+        pair = NormPair.from_spaces(sp.envelope_space(), sp)
+        x = [1.0, -0.5, 0.25]
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            k_functional(pair, 1.0, 0.5, x, warm_start=[0.5, 0.5])
+        with pytest.raises(ValueError, match="non-finite"):
+            k_functional(pair, 1.0, 0.5, x, warm_start=[0.5, math.nan, 0.0])
 
     @given(scale_vectors(3), scale_vectors(3), st.floats(min_value=0.05, max_value=20.0))
     @settings(max_examples=40, deadline=None)
@@ -266,3 +278,146 @@ class TestDerivedChecks:
             equal_norms_type(WeightedLp.euclidean(2), 2.5, 2)
         with pytest.raises(ValueError):
             equal_norms_type(WeightedLp.euclidean(2), 1.0, 0)
+
+
+def _assert_same_as_scipy(batch, x0, maxfev, xatol=1e-10, fatol=1e-14):
+    """The lockstep kernel equals scipy's Nelder-Mead bit for bit, simplex
+    by simplex, on the objective ``batch(points, rows)``."""
+    x, fun = interpolation._nelder_mead_many(batch, x0, maxfev, xatol, fatol)
+    options = {"maxfev": maxfev, "xatol": xatol, "fatol": fatol}
+    results = []
+    for m, row in enumerate(x0):
+        res = minimize(lambda p: batch(p[None, :], np.array([m]))[0], row, method="Nelder-Mead", options=options)
+        assert res.fun == fun[m], (m, maxfev)
+        assert np.array_equal(res.x, x[m]), (m, maxfev)
+        results.append(res)
+    return results
+
+
+def _rosenbrock(points, rows):
+    return np.sum(100.0 * (points[:, 1:] - points[:, :-1] ** 2) ** 2 + (1.0 - points[:, :-1]) ** 2, axis=1)
+
+
+def _bumpy(points, rows):
+    return np.sum(np.abs(points) ** 0.5 + np.cos(7.0 * points), axis=1)
+
+
+class TestLockstepNelderMead:
+    def test_lattice_split_objective(self):
+        sp = WeightedLp.unweighted(2.0 / 3.0, 3)
+        g0, g1 = sp.envelope_space(), sp
+        x = np.array([0.8, -1.3, 0.4])
+        starts = np.vstack([np.zeros(3), x, 0.5 * x, np.diag(x)])
+        ts = np.geomspace(1e-2, 1e2, 5)
+        x0 = np.tile(starts, (ts.size, 1))
+        t_rows = np.repeat(ts, starts.shape[0])
+
+        def batch(points, rows):
+            return g0.gauge_many(points) ** 2 + (t_rows[rows] * g1.gauge_many(x - points)) ** 2
+
+        for maxfev in (10, 20, 40):
+            _assert_same_as_scipy(batch, x0, maxfev)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_rosenbrock(self, n):
+        x0 = RandomSource(5).generator().standard_normal((6, n))
+        x0[0, 0] = 0.0  # a zero coordinate takes the absolute start step
+        for maxfev in (n + 2, 17, 60, 300):
+            _assert_same_as_scipy(_rosenbrock, x0, maxfev)
+
+    def test_ties_on_a_terraced_objective(self):
+        # values on a coarse grid make the strict and non-strict comparisons
+        # of the reflection, expansion and contraction steps tie often
+        x0 = 2.0 * RandomSource(4).generator().standard_normal((40, 3))
+
+        def terraced(points, rows):
+            return np.floor(_rosenbrock(points, rows))
+
+        for maxfev in (10, 40, 80):
+            _assert_same_as_scipy(terraced, x0, maxfev)
+
+    def test_budget_below_simplex_size(self):
+        x0 = RandomSource(6).generator().standard_normal((4, 4))
+        for maxfev in range(1, 6):
+            for res in _assert_same_as_scipy(_rosenbrock, x0, maxfev):
+                assert res.nfev == maxfev
+
+    def test_budget_runs_out_inside_a_shrink(self):
+        x0 = np.array([[0.3, 1.0, 1.7], [-1.0, 0.5, 2.0]])
+        cut_shrinks = 0
+        for maxfev in range(210, 245):
+            counts = []
+
+            def batch(points, rows):
+                counts.append(np.bincount(rows, minlength=2))
+                return _bumpy(points, rows)
+
+            _assert_same_as_scipy(batch, x0, maxfev)
+            # after the start simplex only a shrink evaluates several points
+            # of one simplex; fewer than all 3 means the budget cut it short
+            cut_shrinks += sum(int(((c >= 2) & (c < 3)).any()) for c in counts[1:])
+        assert cut_shrinks > 0
+
+    def test_tolerance_stop(self):
+        x0 = RandomSource(7).generator().standard_normal((5, 3))
+
+        def quadratic(points, rows):
+            return np.sum((points - 0.3) ** 2 * [1.0, 2.0, 3.0], axis=1)
+
+        for res in _assert_same_as_scipy(quadratic, x0, 5000, xatol=1e-4, fatol=1e-4):
+            assert res.nfev < 5000 and res.success
+
+
+def _per_node_search(pair, ts, x, s, budget, warm_start):
+    """Reference split search: one scalar scipy Nelder-Mead per start, node
+    by node, each node warm-started from the previous node's best split."""
+    ks = np.empty(len(ts))
+    warm = warm_start
+    for i, t in enumerate(ts):
+
+        def objective(x0):
+            return pair.space0.gauge(x0) ** s + (t * pair.space1.gauge(x - x0)) ** s
+
+        starts = [np.zeros_like(x), x.copy(), 0.5 * x]
+        if pair.dim <= 8:
+            for j in range(pair.dim):
+                mask = np.zeros_like(x)
+                mask[j] = x[j]
+                starts.append(mask)
+        if warm is not None:
+            starts.append(np.asarray(warm, dtype=float))
+        best_val, best_x0 = math.inf, starts[0]
+        for s0 in starts:
+            val = objective(s0)
+            if val < best_val:
+                best_val, best_x0 = val, s0.copy()
+            res = minimize(
+                objective, s0, method="Nelder-Mead", options={"maxfev": budget, "xatol": 1e-10, "fatol": 1e-14}
+            )
+            if res.fun < best_val:
+                best_val, best_x0 = float(res.fun), np.asarray(res.x, dtype=float)
+        ks[i] = best_val ** (1.0 / s)
+        warm = best_x0
+    return ks
+
+
+class TestBatchedSplitSearch:
+    @pytest.mark.parametrize("budget", [10, 20])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("r", [0.5, 2.0 / 3.0])
+    def test_matches_per_node_search(self, monkeypatch, r, d, budget):
+        sp = WeightedLp.unweighted(r, d)
+        pair = NormPair.from_spaces(sp.envelope_space(), sp)
+        params = ThetaParams(0.9 * r / (2.0 - r), nodes=50, t_min=1e-5, t_max=1e5, budget=budget)
+        x = RandomSource(11, (d,)).generator().standard_normal(d)
+        cases = [(s, t, warm) for s in (1.0, 2.0) for t in (0.05, 1.0, 20.0) for warm in (None, 0.3 * x)]
+
+        def run():
+            theta = theta_norm(pair, params, x).value
+            ks = [k_functional(pair, s, t, x, budget=budget, warm_start=w).value for s, t, w in cases]
+            return np.array([theta, *ks])
+
+        got = run()
+        monkeypatch.setattr(interpolation, "_search_k", _per_node_search)
+        want = run()
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
