@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import RandomSource, as_matrix, frozen_array, singular_values, spd_power, svd
-from .randsigns import ConstantEstimate, _coordinate_ascent
+from .randsigns import ConstantEstimate, _best_ascent
 from .spaces import OperatorSpec, QuasiNormedSpace, WeightedLp
 from .geometry import mvee_of_ball
 
@@ -55,12 +55,7 @@ def _search_op_norm(u: OperatorSpec, budget: int, rng: RandomSource | None) -> f
     n_random = max(4, budget // 500)
     for i in range(n_random):
         starts.append(rng.split(3, i).generator().standard_normal(d))
-    best = 0.0
-    per_start = max(budget, 60 * d)
-    for s in starts:
-        val, _ = _coordinate_ascent(objective, s, per_start)
-        best = max(best, val)
-    return best
+    return _best_ascent(objective, starts, max(budget, 60 * d))[0]
 
 
 def op_norm(
@@ -309,11 +304,7 @@ def envelope_distance(
         rng = RandomSource(0, (61,))
     for i in range(max(budget, 2)):
         starts.append(np.abs(rng.split(5, i).generator().standard_normal(d)))
-    best_v, best_x = 0.0, starts[0]
-    for s in starts:
-        val, x = _coordinate_ascent(objective, s, 80 * d)
-        if val > best_v:
-            best_v, best_x = val, x
+    best_v, best_x = _best_ascent(objective, starts, 80 * d)
     env = space.envelope_gauge(best_x)
     return ConstantEstimate(best_v, "certified-lower-bound", best_x / env)
 

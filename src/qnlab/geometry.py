@@ -12,35 +12,40 @@ symmetric positive-definite.  This module computes
 * the outer/inner volume ratios of a ball and the polar and
   section/projection inequalities built from them.
 
+Nothing here dispatches on a space kind: the kinds give their closed-form
+ellipsoids (``enclosing_form``, ``inscribed_form``), ball and dual-ball
+generators (``ball_atoms``, ``dual_atoms``) and exact volumes
+(``exact_volume``: weighted Lp and quadratic closed forms, polytope fan
+triangulation up to dim 5).
+
 Monte-Carlo results carry a standard error and every randomized path is a
 pure function of the supplied RandomSource.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
-from scipy.special import gammaln
 
 from .numkernel import (
     DegenerateMatrixError,
     RandomSource,
     as_matrix,
     as_spd,
+    dedup_rows,
     frozen_array,
+    require_symmetric_rows,
     spd_power,
 )
 from .spaces import (
     Polytope,
     QuasiNormedSpace,
     RConvexAtoms,
-    Schatten,
     WeightedLp,
     coordinate_section,
+    unit_ball_volume,
 )
 
 _MC_MIN_SAMPLES = 10_000
@@ -94,12 +99,6 @@ class Ellipsoid:
         return (x * radii[:, None]) @ spd_power(self.shape, -0.5)
 
 
-def unit_ball_volume(dim: int) -> float:
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return float(math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0))
-
-
 def mvee(points, tolerance: float = 1e-7, max_iter: int = 200_000) -> Ellipsoid:
     """Minimum-volume centered ellipsoid enclosing a symmetric point set.
 
@@ -118,9 +117,7 @@ def mvee(points, tolerance: float = 1e-7, max_iter: int = 200_000) -> Ellipsoid:
     scale = float(np.abs(X).max())
     if scale <= 0 or np.linalg.matrix_rank(X, tol=1e-10 * scale) < d:
         raise DegenerateMatrixError("point set does not span the space")
-    for row in X:
-        if not np.any(np.max(np.abs(X + row), axis=1) <= 1e-9 * scale):
-            raise ValueError("point set is not symmetric")
+    require_symmetric_rows(X, 1e-9, "point set")
 
     u = np.full(m, 1.0 / m)
     for _ in range(max_iter):
@@ -161,30 +158,20 @@ def mvee(points, tolerance: float = 1e-7, max_iter: int = 200_000) -> Ellipsoid:
 def mvee_of_ball(space: QuasiNormedSpace, tolerance: float = 1e-7) -> Ellipsoid:
     """Minimum-volume ellipsoid enclosing a concrete unit ball.
 
-    Atomic balls reduce to :func:`mvee` of the envelope's extreme points.
-    Smooth weighted Lp balls have closed forms: for 1 < p <= 2 the support
-    of the quadratic form over the ball is attained on the axes, giving the
-    axis-aligned ellipsoid with the ball's own axis scales; for p > 2 a
-    symmetric Lagrange computation yields per-axis semiaxes
-    ``scale_i * dim ** ((p - 2) / (2 p))`` (for p = inf, ``scale_i * sqrt(dim)``).
+    The kind's closed form (``enclosing_form``: weighted Lp with p > 1, a
+    quadratic ball is its own) where it has one; otherwise :func:`mvee` of
+    the ball's generators G and -G (``ball_atoms``), since the ellipsoid
+    encloses an e-convex hull exactly when it encloses the generators.
+    Balls with neither (Schatten) raise ``ValueError``.
     """
-    if isinstance(space, Polytope):
-        return mvee(space.vertices, tolerance)
-    if isinstance(space, RConvexAtoms):
-        return mvee(space.envelope_atoms(), tolerance)
-    if isinstance(space, WeightedLp):
-        s = np.asarray(space.scales)
-        if space.p <= 1.0:
-            return mvee(space.envelope_atoms(), tolerance)
-        if space.p <= 2.0:
-            return Ellipsoid(np.diag(1.0 / s**2))
-        d = space.dim
-        if math.isinf(space.p):
-            factor = float(d)
-        else:
-            factor = d ** ((space.p - 2.0) / space.p)
-        return Ellipsoid(np.diag(1.0 / (s**2 * factor)))
-    raise ValueError(f"no enclosing ellipsoid path for {type(space).__name__}")
+    form = space.enclosing_form()
+    if form is not None:
+        return Ellipsoid(form)
+    gens = space.ball_atoms()
+    if gens is None:
+        raise ValueError(f"no enclosing ellipsoid path for {type(space).__name__}")
+    g = gens[0]
+    return mvee(dedup_rows(np.vstack([g, -g])), tolerance)
 
 
 @dataclass(frozen=True)
@@ -197,41 +184,24 @@ def inscribed_ellipsoid(space: QuasiNormedSpace, tolerance: float = 1e-7) -> Ins
     """Largest inscribed ellipsoid of a convex ball, or a certified
     inscribed ball for unweighted non-convex Lp.
 
-    Convex cases go through polarity: the maximal inscribed ellipsoid of a
-    symmetric convex body is the polar of the minimum-volume ellipsoid of
-    the polar body.  For non-convex unweighted Lp the largest inscribed
-    *ball* (radius ``dim ** (1/2 - 1/p)``, touching the diagonal) is
-    returned with ``maximal=False``; by sign/permutation symmetry it is the
-    natural round surrogate, and it is certified inscribed.
+    The kind's closed form (``inscribed_form``) where it has one: weighted
+    Lp with p >= 1 and quadratic balls.  For non-convex unweighted Lp that
+    form is the largest inscribed *ball* (radius ``dim ** (1/2 - 1/p)``,
+    touching the diagonal), returned with ``maximal=False``; by
+    sign/permutation symmetry it is the natural round surrogate, and it is
+    certified inscribed.  Other convex balls go through polarity: the
+    maximal inscribed ellipsoid of a symmetric convex body is the polar of
+    the minimum-volume ellipsoid of the polar body, here of the dual ball's
+    finite generators (``dual_atoms``: polytopes up to dim 5, convex atom
+    hulls).  Anything else raises ``NotImplementedError``.
     """
-    if isinstance(space, Polytope):
-        normals = np.asarray(space.facet_normals)
-        outer = mvee(np.vstack([normals, -normals]), tolerance)
-        return InscribedResult(outer.polar(), True)
-    if isinstance(space, RConvexAtoms):
-        if space.r == 1.0:
-            return inscribed_ellipsoid(space.envelope_space(), tolerance)
-        raise NotImplementedError(
-            "no inscribed ellipsoid for r-convex atom hulls with r < 1"
-        )
-    if isinstance(space, WeightedLp):
-        s = np.asarray(space.scales)
-        d = space.dim
-        if math.isinf(space.p) or space.p >= 2.0:
-            return InscribedResult(Ellipsoid(np.diag(1.0 / s**2)), True)
-        if space.p >= 1.0:
-            semi = s * d ** (0.5 - 1.0 / space.p)
-            return InscribedResult(Ellipsoid(np.diag(1.0 / semi**2)), True)
-        if not space.is_unweighted:
-            raise NotImplementedError(
-                "inscribed ellipsoids for weighted Lp with p < 1 are not "
-                "implemented; only the unweighted ball surrogate is"
-            )
-        radius = float(s[0]) * d ** (0.5 - 1.0 / space.p)
-        return InscribedResult(Ellipsoid.ball(d, radius), False)
-    raise NotImplementedError(
-        f"no inscribed ellipsoid path for {type(space).__name__}"
-    )
+    form = space.inscribed_form()
+    if form is not None:
+        return InscribedResult(Ellipsoid(form[0]), form[1])
+    dual = space.dual_atoms() if space.r_exponent == 1.0 else None
+    if dual is None:
+        raise NotImplementedError(f"no inscribed ellipsoid path for {type(space).__name__}")
+    return InscribedResult(mvee(dual, tolerance).polar(), True)
 
 
 @dataclass(frozen=True)
@@ -240,30 +210,6 @@ class VolumeEstimate:
     method: str  # closed-form | triangulation | monte-carlo
     stderr: float = 0.0
     samples: int = 0
-
-
-def _lp_ball_volume(space: WeightedLp) -> float:
-    s = np.asarray(space.scales)
-    n = space.dim
-    if math.isinf(space.p):
-        return float(2.0**n * np.prod(s))
-    p = space.p
-    log_vol = n * (math.log(2.0) + gammaln(1.0 + 1.0 / p)) - gammaln(1.0 + n / p)
-    return float(math.exp(log_vol) * np.prod(s))
-
-
-def _fan_volume(vertices: np.ndarray) -> float:
-    """Exact volume of a symmetric polytope via fan triangulation from 0."""
-    v = np.asarray(vertices)
-    d = v.shape[1]
-    if d == 1:
-        return 2.0 * float(np.abs(v).max())
-    hull = ConvexHull(v)
-    total = 0.0
-    fact = math.factorial(d)
-    for simplex in hull.simplices:
-        total += abs(np.linalg.det(v[simplex])) / fact
-    return float(total)
 
 
 def _mc_volume(space: QuasiNormedSpace, rng: RandomSource, samples: int) -> VolumeEstimate:
@@ -303,10 +249,12 @@ def volume(
     """Volume of an ellipsoid or of a space's unit ball.
 
     ``method`` is one of ``auto``, ``closed-form``, ``triangulation``,
-    ``monte-carlo``.  Auto picks the exact path where one exists (weighted
-    Lp and ellipsoids in closed form, polytopes by fan triangulation in
-    dim <= 3) and rejection sampling inside the enclosing ellipsoid
-    otherwise.  Schatten balls have no supported volume path.
+    ``monte-carlo``.  The exact routes are the kind's ``exact_volume``:
+    closed forms for weighted Lp and quadratic balls (and ellipsoids), fan
+    triangulation for polytopes of dim <= 5.  Auto takes that route where
+    the kind has one and rejection sampling inside the enclosing ellipsoid
+    otherwise; asking for a route the kind lacks raises ``ValueError``, as
+    does Monte-Carlo on a ball without an enclosing ellipsoid (Schatten).
     """
     if isinstance(obj, Ellipsoid):
         if method not in ("auto", "closed-form"):
@@ -314,26 +262,16 @@ def volume(
         return VolumeEstimate(obj.volume(), "closed-form")
     if not isinstance(obj, QuasiNormedSpace):
         raise ValueError("volume needs an Ellipsoid or a QuasiNormedSpace")
-    if isinstance(obj, Schatten):
-        raise ValueError("volumes of Schatten balls are not supported")
+    if method not in ("auto", "closed-form", "triangulation", "monte-carlo"):
+        raise ValueError(f"unknown volume method {method!r}")
+    exact = obj.exact_volume() if method != "monte-carlo" else None
     if method == "auto":
-        if isinstance(obj, WeightedLp):
-            method = "closed-form"
-        elif isinstance(obj, Polytope):
-            method = "triangulation" if obj.dim <= 3 else "monte-carlo"
-        else:
-            method = "monte-carlo"
-    if method == "closed-form":
-        if not isinstance(obj, WeightedLp):
-            raise ValueError("closed-form volume needs a WeightedLp space")
-        return VolumeEstimate(_lp_ball_volume(obj), "closed-form")
-    if method == "triangulation":
-        if not isinstance(obj, Polytope) or obj.dim > 5:
-            raise ValueError("triangulation needs a Polytope of dim <= 5")
-        return VolumeEstimate(_fan_volume(np.asarray(obj.vertices)), "triangulation")
+        method = exact[1] if exact else "monte-carlo"
     if method == "monte-carlo":
         return _mc_volume(obj, rng, samples)
-    raise ValueError(f"unknown volume method {method!r}")
+    if exact is None or exact[1] != method:
+        raise ValueError(f"no {method} volume for {type(obj).__name__} in dim {obj.dim}")
+    return VolumeEstimate(exact[0], method)
 
 
 @dataclass(frozen=True)
@@ -456,9 +394,9 @@ def section_projection_volume_check(
         raise ValueError("subset must be a proper nonempty coordinate set")
     comp = tuple(i for i in range(n) if i not in idx)
     k = len(idx)
-    vol_section = _lp_ball_volume(coordinate_section(space, idx))
-    vol_projection = _lp_ball_volume(coordinate_section(space, comp))
-    vol_full = _lp_ball_volume(space)
+    vol_section = coordinate_section(space, idx).exact_volume()[0]
+    vol_projection = coordinate_section(space, comp).exact_volume()[0]
+    vol_full = space.exact_volume()[0]
     ratio = vol_section * vol_projection / vol_full
     bound = math.comb(n * beta, k * beta)
     return SplitVolumeResult(ratio, bound, idx, ratio <= bound * (1.0 + slack))
@@ -487,7 +425,7 @@ def rhull_volume_defect(
         return RatioEstimate(1.0, 0.0)
     atoms = np.asarray(space.extreme_vertices)
     hull_space = RConvexAtoms(atoms, r)
-    vol_b = _fan_volume(np.asarray(space.vertices))
+    vol_b = space.exact_volume()[0]
     vol_r = _mc_volume(hull_space, rng, samples)
     d = space.dim
     value = (vol_b / vol_r.value) ** (1.0 / d)

@@ -571,8 +571,7 @@ def _run_typecotype(config: ExperimentConfig):
                     f"value {est.value:.9f}",
                 )
             )
-        is_euclidean = isinstance(sp, WeightedLp) and sp.is_euclidean
-        if is_euclidean:
+        if sp.is_euclidean:
             for label, est in (("type-2", t2), ("cotype-2", c2), ("projection", kc)):
                 verdicts.append(
                     _verdict(
@@ -637,7 +636,7 @@ def _run_gamma2(config: ExperimentConfig):
                     f"product {g.witness.product:.12f} vs upper {g.upper:.12f}",
                 )
             )
-        if isinstance(sp, WeightedLp) and sp.is_euclidean:
+        if sp.is_euclidean:
             verdicts.append(
                 _verdict(
                     f"Euclidean identity factors at 1 ({name})",

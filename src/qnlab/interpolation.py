@@ -51,7 +51,7 @@ from scipy.optimize import minimize
 from .factorization import op_norm
 from .numkernel import RandomSource, as_matrix, as_vector
 from .spaces import OperatorSpec, QuasiNormedSpace, Quadratic
-from .randsigns import ConstantEstimate, _deterministic_tuple_starts, _search_tuples, rademacher_average
+from .randsigns import ConstantEstimate, _search_tuples, rademacher_average
 
 
 @dataclass(frozen=True, eq=False)
@@ -582,7 +582,5 @@ def equal_norms_type(
         avg = rademacher_average(space, V, 2.0)
         return avg.value / (scale * m)
 
-    value, witness = _search_tuples(
-        objective, _deterministic_tuple_starts(space.dim, n), (n, space.dim), budget, rng
-    )
+    value, witness = _search_tuples(objective, n, space.dim, budget, rng)
     return ConstantEstimate(value, "certified-lower-bound", witness)

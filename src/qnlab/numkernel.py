@@ -98,6 +98,25 @@ def as_spd(a) -> np.ndarray:
     return m
 
 
+def dedup_rows(rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Drop duplicate rows (within tol, scale-aware), keeping first seen."""
+    scale = max(1.0, float(np.abs(rows).max()) if rows.size else 1.0)
+    keep: list[int] = []
+    for i, r in enumerate(rows):
+        if not keep or not np.any(np.abs(rows[keep] - r).max(axis=1) <= tol * scale):
+            keep.append(i)
+    return rows[keep].reshape(len(keep), rows.shape[1])
+
+
+def require_symmetric_rows(rows: np.ndarray, rtol: float, what: str) -> None:
+    """Raise ``ValueError`` unless the negation of every row is a row, up to
+    ``rtol`` times the largest entry."""
+    scale = float(np.abs(rows).max())
+    for row in rows:
+        if not np.any(np.max(np.abs(rows + row), axis=1) <= rtol * scale):
+            raise ValueError(f"{what} is not symmetric")
+
+
 def spd_power(a, exponent: float) -> np.ndarray:
     """Symmetric power ``a**exponent`` of a positive-definite matrix."""
     m = as_matrix(a)

@@ -159,34 +159,35 @@ def _coordinate_ascent(objective, start: np.ndarray, budget: int) -> tuple[float
     return best_v, best
 
 
-def _search_tuples(
-    objective,
-    deterministic_starts: list[np.ndarray],
-    shape: tuple[int, int],
-    budget: int,
-    rng: RandomSource | None,
-) -> tuple[float, np.ndarray]:
-    starts = [np.asarray(s, dtype=float) for s in deterministic_starts]
-    n_random = max(2, budget)
-    if rng is not None:
-        for i in range(n_random):
-            starts.append(rng.split(7, i).generator().standard_normal(shape))
-    best_v = -math.inf
-    best = starts[0]
-    per_start = 60 * shape[0] * shape[1]
-    for s in starts:
-        v, w = _coordinate_ascent(objective, s, per_start)
+def _best_ascent(objective, starts: list[np.ndarray], budget) -> tuple[float, np.ndarray]:
+    """Coordinate ascent from each start in order; the strictly best value
+    found and its point.  ``budget`` is the per-start evaluation budget, or
+    a list of one per start; a start with budget 0 is only scored."""
+    budgets = budget if isinstance(budget, list) else [budget] * len(starts)
+    best_v, best = -math.inf, starts[0]
+    for s, b in zip(starts, budgets):
+        v, w = _coordinate_ascent(objective, s, b)
         if v > best_v:
             best_v, best = v, w
     return best_v, best
 
 
-def _deterministic_tuple_starts(dim: int, n: int) -> list[np.ndarray]:
+def _search_tuples(
+    objective, n: int, dim: int, budget: int, rng: RandomSource | None
+) -> tuple[float, np.ndarray]:
+    """Best N-tuple of vectors in R^dim found by ascent from the coordinate
+    vectors, the normalized ones vector repeated, the first axis repeated,
+    and (given a source) max(2, budget) Gaussian tuples."""
     eye = np.eye(dim)
-    coords = np.array([eye[i % dim] for i in range(n)])
-    ones = np.ones((n, dim)) / math.sqrt(dim)
-    same = np.tile(eye[0], (n, 1))
-    return [coords, ones, same]
+    starts = [
+        np.array([eye[i % dim] for i in range(n)]),
+        np.ones((n, dim)) / math.sqrt(dim),
+        np.tile(eye[0], (n, 1)),
+    ]
+    if rng is not None:
+        for i in range(max(2, budget)):
+            starts.append(rng.split(7, i).generator().standard_normal((n, dim)))
+    return _best_ascent(objective, starts, 60 * n * dim)
 
 
 def type2_lower(
@@ -207,9 +208,7 @@ def type2_lower(
 
     if not np.any(u.matrix):
         return ConstantEstimate(0.0, "certified-lower-bound", np.zeros((n, u.source.dim)))
-    value, witness = _search_tuples(
-        objective, _deterministic_tuple_starts(u.source.dim, n), (n, u.source.dim), budget, rng
-    )
+    value, witness = _search_tuples(objective, n, u.source.dim, budget, rng)
     return ConstantEstimate(value, "certified-lower-bound", witness)
 
 
@@ -230,9 +229,7 @@ def cotype2_lower(
 
     if not np.any(u.matrix):
         return ConstantEstimate(0.0, "certified-lower-bound", np.zeros((n, u.source.dim)))
-    value, witness = _search_tuples(
-        objective, _deterministic_tuple_starts(u.source.dim, n), (n, u.source.dim), budget, rng
-    )
+    value, witness = _search_tuples(objective, n, u.source.dim, budget, rng)
     return ConstantEstimate(value, "certified-lower-bound", witness)
 
 
@@ -257,9 +254,7 @@ def cotype_q_lower(
         num = sum(space.gauge(x) ** q for x in V) ** (1.0 / q)
         return num / avg.value
 
-    value, witness = _search_tuples(
-        objective, _deterministic_tuple_starts(space.dim, n), (n, space.dim), budget, rng
-    )
+    value, witness = _search_tuples(objective, n, space.dim, budget, rng)
     return ConstantEstimate(value, "certified-lower-bound", witness)
 
 
@@ -297,20 +292,12 @@ def kconvexity_lower(
             starts.append(np.outer(pats[:, i], eye[j]))
     if not np.any(u.matrix):
         return ConstantEstimate(0.0, "certified-lower-bound", np.zeros((m, dx)))
-    best_v = -math.inf
-    best = starts[0]
-    # degree-one starts are exact maximizers in the Euclidean case; random
-    # tables plus entry ascent explore beyond them
-    randoms = []
+    # degree-one starts are exact maximizers in the Euclidean case and are
+    # only scored; random tables plus entry ascent explore beyond them
+    budgets = [0] * len(starts)
     if rng is not None:
         for i in range(max(2, budget)):
-            randoms.append(rng.split(11, i).generator().standard_normal((m, dx)))
-    for s in starts:
-        v = objective(s)
-        if v > best_v:
-            best_v, best = v, s
-    for s in randoms:
-        v, w = _coordinate_ascent(objective, s, 40 * m)
-        if v > best_v:
-            best_v, best = v, w
-    return ConstantEstimate(best_v, "certified-lower-bound", best)
+            starts.append(rng.split(11, i).generator().standard_normal((m, dx)))
+            budgets.append(40 * m)
+    value, witness = _best_ascent(objective, starts, budgets)
+    return ConstantEstimate(value, "certified-lower-bound", witness)

@@ -34,7 +34,6 @@ from .randsigns import (
     _as_tuple,
     _power_mean,
     _search_tuples,
-    _deterministic_tuple_starts,
     cotype2_lower,
     rademacher_average,
 )
@@ -276,8 +275,7 @@ def sidon_regularity_experiment(
             return 0.0
         return max(res.ratio, 1.0 / res.ratio)
 
-    starts = _deterministic_tuple_starts(space.dim, n)
-    value, flat = _search_tuples(objective, starts, (n, space.dim), budget, rng.split(0))
+    value, flat = _search_tuples(objective, n, space.dim, budget, rng.split(0))
     cert = cotype2_lower(OperatorSpec.identity(space), n=min(4, 2 * space.dim), budget=2, rng=rng.split(1))
     sid = None
     if group.is_sign_group and n <= MAX_SIDON_SET:

@@ -13,7 +13,9 @@ Every space knows its gauge (Minkowski functional of the unit ball), the
 gauge of its convex envelope, and the dual gauge, i.e. the support function
 of the envelope ball.  The facts that exact routes elsewhere rest on are
 methods of the kind, ``None`` where a kind lacks them: the quadratic form,
-per-coordinate scales, and finite atom sets of the ball and of its dual.
+per-coordinate scales, the ball's finite generators with their hull
+exponent, the dual ball's atoms, the closed-form enclosing and inscribed
+ellipsoids, and the exact volume with its route.
 Gauges satisfy the r-triangle inequality
 ``gauge(x + y)**r <= gauge(x)**r + gauge(y)**r`` for the space's
 ``r_exponent``.  Spaces are immutable values: array fields are copied and
@@ -41,15 +43,18 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
+from scipy.special import gammaln
 
 from .numkernel import (
     DegenerateMatrixError,
     as_matrix,
     as_spd,
     as_vector,
+    dedup_rows,
     frozen_array,
     gram_schmidt,
     orthonormal_complement,
+    require_symmetric_rows,
     singular_values,
 )
 
@@ -123,7 +128,8 @@ class QuasiNormedSpace:
         return None
 
     def ball_atoms(self) -> tuple[np.ndarray, float] | None:
-        """Finite atom set whose e-convex hull is the unit ball, with e."""
+        """Finite generators G with their hull exponent e: the unit ball is
+        the e-convex hull of G and -G."""
         try:
             return self.envelope_atoms(), self.r_exponent
         except NotImplementedError:
@@ -133,15 +139,29 @@ class QuasiNormedSpace:
         """Finite F with gauge(y) = max over f in F of <f, y>, or None."""
         return None
 
+    def enclosing_form(self) -> np.ndarray | None:
+        """Shape of the minimum-volume enclosing ellipsoid, in closed form."""
+        return self.quadratic_form
 
-def _dedup_rows(rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Drop duplicate rows (within tol, scale-aware), keeping first seen."""
-    out: list[np.ndarray] = []
-    scale = max(1.0, float(np.abs(rows).max()) if rows.size else 1.0)
-    for r in rows:
-        if not any(np.max(np.abs(r - o)) <= tol * scale for o in out):
-            out.append(r)
-    return np.array(out).reshape(len(out), rows.shape[1])
+    def inscribed_form(self) -> tuple[np.ndarray, bool] | None:
+        """Shape of an inscribed ellipsoid in closed form, and whether it is
+        the maximal one."""
+        a = self.quadratic_form
+        return None if a is None else (a, True)
+
+    def exact_volume(self) -> tuple[float, str] | None:
+        """Exact volume of the unit ball with its route, or None."""
+        a = self.quadratic_form
+        if a is None:
+            return None
+        logdet = np.linalg.slogdet(a)[1]
+        return float(unit_ball_volume(self.dim) * math.exp(-0.5 * logdet)), "closed-form"
+
+
+def unit_ball_volume(dim: int) -> float:
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    return float(math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,6 +297,41 @@ class WeightedLp(QuasiNormedSpace):
             return signs * w
         return None
 
+    def enclosing_form(self) -> np.ndarray | None:
+        # for 1 < p <= 2 the ellipsoid through the axis points encloses the
+        # ball; for p > 2 a symmetric Lagrange computation stretches it by
+        # dim ** ((p - 2) / (2 p)), or sqrt(dim) at p = inf
+        if self.p <= 1.0:
+            return None
+        s = np.asarray(self.scales)
+        if self.p <= 2.0:
+            return np.diag(1.0 / s**2)
+        d = self.dim
+        factor = float(d) if math.isinf(self.p) else d ** ((self.p - 2.0) / self.p)
+        return np.diag(1.0 / (s**2 * factor))
+
+    def inscribed_form(self) -> tuple[np.ndarray, bool] | None:
+        # for p < 1 only the unweighted ball has a form: the largest
+        # inscribed ball, which touches the diagonal and is not maximal
+        s = np.asarray(self.scales)
+        d = self.dim
+        if self.p >= 2.0:
+            return np.diag(1.0 / s**2), True
+        if self.p >= 1.0:
+            semi = s * d ** (0.5 - 1.0 / self.p)
+            return np.diag(1.0 / semi**2), True
+        if not self.is_unweighted:
+            return None
+        radius = float(s[0]) * d ** (0.5 - 1.0 / self.p)
+        return np.eye(d) / radius**2, False
+
+    def exact_volume(self) -> tuple[float, str]:
+        s, n, p = np.asarray(self.scales), self.dim, self.p
+        if math.isinf(p):
+            return float(2.0**n * np.prod(s)), "closed-form"
+        log_vol = n * (math.log(2.0) + gammaln(1.0 + 1.0 / p)) - gammaln(1.0 + n / p)
+        return float(math.exp(log_vol) * np.prod(s)), "closed-form"
+
 
 @dataclass(frozen=True, eq=False)
 class Quadratic(QuasiNormedSpace):
@@ -397,9 +452,7 @@ class Polytope(QuasiNormedSpace):
         scale = float(np.abs(v).max())
         if scale <= 0:
             raise ValueError("vertices are all zero")
-        for row in v:
-            if not np.any(np.max(np.abs(v + row), axis=1) <= 1e-12 * scale):
-                raise ValueError("vertex set is not symmetric")
+        require_symmetric_rows(v, 1e-12, "vertex set")
         if np.linalg.matrix_rank(v, tol=1e-10 * scale) < v.shape[1]:
             raise DegenerateMatrixError("vertices do not span the space")
         object.__setattr__(self, "vertices", frozen_array(v))
@@ -451,12 +504,30 @@ class Polytope(QuasiNormedSpace):
     def envelope_atoms(self) -> np.ndarray:
         return np.asarray(self.extreme_vertices)
 
+    def ball_atoms(self) -> tuple[np.ndarray, float]:
+        return np.asarray(self.vertices), 1.0
+
     def dual_atoms(self) -> np.ndarray | None:
         try:
             normals = np.asarray(self.facet_normals)
         except NotImplementedError:
             return None
         return np.vstack([normals, -normals])
+
+    def exact_volume(self) -> tuple[float, str] | None:
+        """Fan triangulation from the origin over the hull facets, dim <= 5."""
+        v = np.asarray(self.vertices)
+        d = self.dim
+        if d > 5:
+            return None
+        if d == 1:
+            return 2.0 * float(np.abs(v).max()), "triangulation"
+        hull = ConvexHull(v)
+        total = 0.0
+        fact = math.factorial(d)
+        for simplex in hull.simplices:
+            total += abs(np.linalg.det(v[simplex])) / fact
+        return float(total), "triangulation"
 
     @cached_property
     def extreme_vertices(self) -> np.ndarray:
@@ -466,7 +537,7 @@ class Polytope(QuasiNormedSpace):
             t = float(np.abs(v).max())
             return frozen_array([[t], [-t]])
         hull = ConvexHull(v)
-        return frozen_array(_dedup_rows(v[hull.vertices]))
+        return frozen_array(dedup_rows(v[hull.vertices]))
 
     @cached_property
     def facet_normals(self) -> np.ndarray:
@@ -480,12 +551,12 @@ class Polytope(QuasiNormedSpace):
         hull = ConvexHull(v)
         eqs = hull.equations  # rows [a, b] with a @ x + b <= 0 inside
         normals = eqs[:, :-1] / (-eqs[:, -1:])
-        return frozen_array(_dedup_rows(normals))
+        return frozen_array(dedup_rows(normals))
 
     def dual_space(self) -> "Polytope":
         """Polytope whose gauge is this one's dual gauge (polar body)."""
         n = np.asarray(self.facet_normals)
-        return Polytope(_dedup_rows(np.vstack([n, -n])))
+        return Polytope(dedup_rows(np.vstack([n, -n])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -577,12 +648,14 @@ class RConvexAtoms(QuasiNormedSpace):
         return float(np.max(np.abs(np.asarray(self.atoms) @ v)))
 
     def envelope_space(self) -> "Polytope":
-        a = np.asarray(self.atoms)
-        return Polytope(_dedup_rows(np.vstack([a, -a])))
+        return Polytope(self.envelope_atoms())
 
     def envelope_atoms(self) -> np.ndarray:
         a = np.asarray(self.atoms)
-        return _dedup_rows(np.vstack([a, -a]))
+        return dedup_rows(np.vstack([a, -a]))
+
+    def ball_atoms(self) -> tuple[np.ndarray, float]:
+        return np.asarray(self.atoms), self.r
 
     def dual_atoms(self) -> np.ndarray | None:
         return self.envelope_space().dual_atoms() if self.r == 1.0 else None
@@ -651,9 +724,12 @@ def quotient(space: QuasiNormedSpace, kernel_basis) -> QuasiNormedSpace:
     The quotient ball is the orthogonal projection of the unit ball onto the
     kernel's orthogonal complement, expressed in the deterministic
     orthonormal basis produced by :func:`orthonormal_complement`.  Supported
-    whenever the ball has a finite atomic description (polytopes, atom
-    hulls, weighted Lp with p <= 1 or p = inf): the projection of a (r-)convex
-    hull is the (r-)convex hull of the projected generators.
+    whenever the kind has finite ball generators (``ball_atoms``): the
+    projection of the e-convex hull of G is the e-convex hull of the
+    projected G, a :class:`Polytope` of the projected G and -G when e = 1
+    and an :class:`RConvexAtoms` of the projected G otherwise.  Balls
+    without finite generators (smooth Lp, quadratic, Schatten) raise
+    ``ValueError``.
     """
     rows = [as_vector(r, dim=space.dim) for r in kernel_basis]
     if not rows:
@@ -662,26 +738,17 @@ def quotient(space: QuasiNormedSpace, kernel_basis) -> QuasiNormedSpace:
     U = orthonormal_complement(K, dim=space.dim)
     if U.shape[0] == 0:
         raise ValueError("kernel spans the whole space; quotient is trivial")
-
-    def project(mat):
-        out = _dedup_rows(np.asarray(mat) @ U.T)
-        keep = np.linalg.norm(out, axis=1) > 1e-12
-        return out[keep]
-
-    if isinstance(space, Polytope):
-        return Polytope(project(space.vertices))
-    if isinstance(space, RConvexAtoms):
-        return RConvexAtoms(project(space.atoms), space.r)
-    if isinstance(space, WeightedLp):
-        if space.p > 1.0 and not math.isinf(space.p):
-            raise ValueError(
-                "quotients of smooth Lp balls are not representable here"
-            )
-        atoms = project(space.envelope_atoms())
-        if space.p < 1.0:
-            return RConvexAtoms(atoms, space.p)
-        return Polytope(atoms)
-    raise ValueError(f"unsupported representation {type(space).__name__}")
+    gens = space.ball_atoms()
+    if gens is None:
+        raise ValueError(
+            f"quotients of {type(space).__name__} balls without finite "
+            "generators are not representable here"
+        )
+    g, e = gens
+    out = g @ U.T
+    out = dedup_rows(np.vstack([out, -out]) if e == 1.0 else out)
+    out = out[np.linalg.norm(out, axis=1) > 1e-12]
+    return Polytope(out) if e == 1.0 else RConvexAtoms(out, e)
 
 
 def coordinate_section(space: WeightedLp, indices) -> WeightedLp:
@@ -731,4 +798,4 @@ def polytope_section(space: Polytope, basis) -> Polytope:
             verts.append(y)
     if not verts:
         raise RuntimeError("no section vertices found")
-    return Polytope(_dedup_rows(np.array(verts)))
+    return Polytope(dedup_rows(np.array(verts)))

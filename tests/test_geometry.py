@@ -21,10 +21,11 @@ from qnlab.geometry import (
     vr,
     vr_star,
 )
-from qnlab.spaces import Polytope, RConvexAtoms, WeightedLp
+from qnlab.spaces import Polytope, Quadratic, RConvexAtoms, Schatten, WeightedLp, quotient
 
 SQUARE = Polytope(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
 CROSS2 = Polytope(np.vstack([np.eye(2), -np.eye(2)]))
+SPD3 = np.array([[2.0, 0.7, 0.0], [0.7, 1.5, 0.3], [0.0, 0.3, 1.0]])
 
 
 def cube_vertices(d):
@@ -104,6 +105,14 @@ class TestEnclosingEllipsoid:
         # quadratic case: the ball is the ellipsoid itself
         w = np.array([2.0, 5.0])
         assert np.allclose(mvee_of_ball(WeightedLp(2.0, w)).shape, np.diag(w))
+        assert np.array_equal(mvee_of_ball(Quadratic(SPD3)).shape, SPD3)
+
+    def test_polytope_keeps_its_vertex_list(self):
+        # the interior vertex [0.5, 0] stays in the point set the ellipsoid
+        # is computed from, so the result matches mvee of the full list
+        v = np.array([[1.0, 1.0], [1.0, -1.0], [0.5, 0.0]])
+        poly = Polytope(np.vstack([v, -v]))
+        assert np.array_equal(mvee_of_ball(poly).shape, mvee(poly.vertices).shape)
 
 
 class TestInscribedEllipsoid:
@@ -129,6 +138,22 @@ class TestInscribedEllipsoid:
         assert np.all(gauges <= 1 + 1e-9)
         assert gauges.max() == pytest.approx(1.0, abs=1e-9)
 
+    def test_quadratic_ball_is_its_own(self):
+        res = inscribed_ellipsoid(Quadratic(SPD3))
+        assert res.maximal
+        assert np.array_equal(res.ellipsoid.shape, SPD3)
+
+    def test_convex_atom_hull_goes_through_its_polar(self):
+        atoms = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        res = inscribed_ellipsoid(RConvexAtoms(atoms, 1.0))
+        ref = inscribed_ellipsoid(Polytope(np.vstack([atoms, -atoms])))
+        assert res.maximal
+        assert np.array_equal(res.ellipsoid.shape, ref.ellipsoid.shape)
+        with pytest.raises(NotImplementedError):
+            inscribed_ellipsoid(RConvexAtoms(atoms, 0.5))
+        with pytest.raises(NotImplementedError):
+            inscribed_ellipsoid(WeightedLp(0.5, [1.0, 2.0]))
+
 
 class TestVolume:
     def test_closed_forms(self):
@@ -138,10 +163,26 @@ class TestVolume:
         assert volume(WeightedLp.euclidean(2)).value == pytest.approx(math.pi)
         assert volume(WeightedLp.unweighted(1.0, 2)).method == "closed-form"
 
+        est = volume(Quadratic(SPD3))
+        assert est.method == "closed-form"
+        assert est.value == Ellipsoid(SPD3).volume()
+        assert volume(Quadratic(SPD3), "closed-form").value == est.value
+
     def test_triangulation(self):
         assert volume(SQUARE).value == pytest.approx(4.0)
         assert volume(CROSS2).value == pytest.approx(2.0)
         assert volume(SQUARE).method == "triangulation"
+
+    def test_auto_triangulates_polytopes_up_to_dim_five(self):
+        kernel = RandomSource(4).generator().standard_normal((1, 5))
+        quot = quotient(WeightedLp.unweighted(1.0, 5), kernel)
+        assert isinstance(quot, Polytope) and quot.dim == 4
+        est = volume(quot, "auto")
+        assert est.method == "triangulation"
+        assert est.value == volume(quot, "triangulation").value
+        cube6 = Polytope(cube_vertices(6))
+        with pytest.raises(ValueError):
+            volume(cube6, "triangulation")
 
     def test_monte_carlo_matches_exact(self):
         est = volume(SQUARE, method="monte-carlo", rng=RandomSource(11), samples=50_000)
@@ -157,6 +198,30 @@ class TestVolume:
     def test_method_mismatch(self):
         with pytest.raises(ValueError):
             volume(WeightedLp.unweighted(0.5, 2), method="triangulation")
+
+    @pytest.mark.parametrize(
+        "space,method",
+        [
+            (SQUARE, "closed-form"),
+            (Quadratic(SPD3), "triangulation"),
+            (RConvexAtoms(np.eye(2), 0.5), "closed-form"),
+            (SQUARE, "exact"),
+        ],
+    )
+    def test_method_mismatch_across_kinds(self, space, method):
+        with pytest.raises(ValueError):
+            volume(space, method=method)
+
+    @pytest.mark.parametrize("method", ["auto", "closed-form", "monte-carlo"])
+    def test_schatten_ball_has_no_volume(self, method):
+        with pytest.raises(ValueError):
+            volume(Schatten(1.0, 2, 2), method, RandomSource(1), 10_000)
+
+    def test_schatten_ball_has_no_ellipsoids(self):
+        with pytest.raises(ValueError):
+            mvee_of_ball(Schatten(0.5, 2, 2))
+        with pytest.raises(NotImplementedError):
+            inscribed_ellipsoid(Schatten(1.0, 2, 2))
 
     def test_monte_carlo_without_hits_raises(self):
         # the 0.2-hull of the axes is a sliver of its enclosing ball, so no

@@ -11,8 +11,10 @@ from qnlab.numkernel import (
     as_matrix,
     as_spd,
     as_vector,
+    dedup_rows,
     frozen_array,
     orthonormal_complement,
+    require_symmetric_rows,
     singular_values,
     spd_power,
     svd,
@@ -101,6 +103,17 @@ class TestLinearAlgebra:
 
     def test_orthonormal_complement_empty_kernel(self):
         assert np.array_equal(orthonormal_complement([], dim=3), np.eye(3))
+
+    def test_dedup_rows_keeps_first_seen(self):
+        rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0 + 1e-12, 0.0], [-1.0, 0.0]])
+        assert np.array_equal(dedup_rows(rows), rows[[0, 1, 3]])
+        assert dedup_rows(np.zeros((0, 2))).shape == (0, 2)
+
+    def test_require_symmetric_rows_is_relative(self):
+        rows = np.array([[2.0, 0.0], [-2.0, 1e-10]])
+        require_symmetric_rows(rows, 1e-9, "point set")
+        with pytest.raises(ValueError, match="vertex set is not symmetric"):
+            require_symmetric_rows(rows, 1e-12, "vertex set")
 
     def test_orthonormal_complement_rejects_dependent_rows(self):
         with pytest.raises(DegenerateMatrixError):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qnlab.numkernel import RandomSource
 from qnlab.randsigns import (
+    _best_ascent,
     cotype2_lower,
     cotype_q_lower,
     kconvexity_lower,
@@ -136,6 +137,17 @@ class TestTypeCotypeConstants:
         for sp in (WeightedLp.unweighted(0.5, 2), WeightedLp.unweighted(1.0, 3)):
             est = kconvexity_lower(OperatorSpec.identity(sp), n=3, budget=3, rng=RandomSource(11))
             assert est.value >= 1 - 1e-9
+
+    def test_search_keeps_first_strict_best(self):
+        def objective(x):
+            return 1.0 / (1.0 + abs(float(x[0]) - 1.0))
+
+        starts = [np.array([0.5, 0.0]), np.array([1.0, 7.0]), np.array([1.0, 9.0])]
+        # budget 0 only scores each start; ties keep the earlier start
+        value, best = _best_ascent(objective, starts, 0)
+        assert value == 1.0 and np.array_equal(best, [1.0, 7.0])
+        value, best = _best_ascent(objective, starts[:1], [40])
+        assert 1.0 / 1.5 < value == objective(best)
 
     def test_cotype_q_matches_quadratic_case(self):
         sp = WeightedLp.unweighted(1.0, 2)

@@ -287,6 +287,25 @@ class TestQuotientsAndSections:
         with pytest.raises(ValueError, match="not representable"):
             quotient(WeightedLp.unweighted(1.5, 3), [[1.0, 0.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "space", [Quadratic(np.diag([1.0, 2.0, 3.0, 4.0])), Schatten(1.0, 2, 2)]
+    )
+    def test_quotient_without_finite_generators_unsupported(self, space):
+        with pytest.raises(ValueError):
+            quotient(space, [[1.0, 0.0, 0.0, 0.0]])
+
+    def test_quotient_of_atom_hull_keeps_unsymmetrized_atoms(self):
+        # 8 atoms and their negations would be 16 > MAX_ATOMS
+        atoms = RandomSource(37).generator().standard_normal((8, 3))
+        q = quotient(RConvexAtoms(atoms, 0.5), [[1.0, 2.0, -1.0]])
+        assert isinstance(q, RConvexAtoms)
+        assert q.r == 0.5 and q.dim == 2 and q.atoms.shape == (8, 2)
+
+    def test_quotient_of_convex_atom_hull_is_polytope(self):
+        q = quotient(RConvexAtoms(np.eye(3), 1.0), [[0.0, 0.0, 1.0]])
+        assert isinstance(q, Polytope)
+        assert q.gauge([1.0, 1.0]) == pytest.approx(2.0)
+
     def test_coordinate_section(self):
         sec = coordinate_section(WeightedLp(0.5, [1.0, 4.0, 9.0]), [0, 2])
         assert sec.p == pytest.approx(0.5)
