@@ -274,14 +274,12 @@ def euclidean_distance(
     gen = rng.split(1).generator()
     for _ in range(64):
         pairs.append((gen.standard_normal(d), gen.standard_normal(d)))
-    lower = 1.0
-    for x, y in pairs:
-        num = space.gauge(x + y) ** 2 + space.gauge(x - y) ** 2
-        den = 2.0 * (space.gauge(x) ** 2 + space.gauge(y) ** 2)
-        if num <= 0 or den <= 0:
-            continue
-        ratio = num / den
-        lower = max(lower, math.sqrt(max(ratio, 1.0 / ratio)))
+    xs, ys = (np.array(side) for side in zip(*pairs))
+    num = space.gauge_many(xs + ys) ** 2 + space.gauge_many(xs - ys) ** 2
+    den = 2.0 * (space.gauge_many(xs) ** 2 + space.gauge_many(ys) ** 2)
+    ok = (num > 0) & (den > 0)
+    ratio = num[ok] / den[ok]
+    lower = float(np.sqrt(np.maximum(ratio, 1.0 / ratio)).max(initial=1.0))
     return DistanceBracket(lower, max(g.upper, lower) if g.certified else g.upper, g.certified)
 
 

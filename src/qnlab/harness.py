@@ -26,6 +26,7 @@ Space grammar: a kind followed by ``key=value`` tokens.
 * ``euclidean dim=3``
 * ``lp p=0.5 dim=3`` (optional ``weights=1,2,3``; ``p=inf`` allowed)
 * ``schatten p=1 rows=2 cols=2``
+* ``quadratic matrix=2,0.5;0.5,1`` (symmetric positive-definite)
 * ``polytope vertices=1,0;0,1;-1,0;0,-1``
 * ``atoms r=0.5 rows=1,0;0,1``
 
@@ -51,6 +52,7 @@ from .numkernel import DegenerateMatrixError, RandomSource
 from .spaces import (
     OperatorSpec,
     Polytope,
+    Quadratic,
     QuasiNormedSpace,
     RConvexAtoms,
     Schatten,
@@ -111,6 +113,7 @@ def parse_space(text: str) -> QuasiNormedSpace:
         "euclidean": {"dim"},
         "lp": {"p", "dim", "weights"},
         "schatten": {"p", "rows", "cols"},
+        "quadratic": {"matrix"},
         "polytope": {"vertices"},
         "atoms": {"r", "rows"},
     }
@@ -130,6 +133,8 @@ def parse_space(text: str) -> QuasiNormedSpace:
         return WeightedLp.unweighted(p, int(need("dim")))
     if kind == "schatten":
         return Schatten(_parse_float(need("p")), int(need("rows")), int(need("cols")))
+    if kind == "quadratic":
+        return Quadratic(_parse_matrix(need("matrix")))
     if kind == "polytope":
         return Polytope(_parse_matrix(need("vertices")))
     if kind == "atoms":
@@ -148,6 +153,8 @@ def format_space(space: QuasiNormedSpace) -> str:
         return f"lp p={_fmt_float(space.p)} weights={_fmt_matrix(w[None, :])}"
     if isinstance(space, Schatten):
         return f"schatten p={_fmt_float(space.p)} rows={space.rows} cols={space.cols}"
+    if isinstance(space, Quadratic):
+        return f"quadratic matrix={_fmt_matrix(space.matrix)}"
     if isinstance(space, Polytope):
         return f"polytope vertices={_fmt_matrix(space.vertices)}"
     if isinstance(space, RConvexAtoms):

@@ -200,7 +200,7 @@ def type2_lower(
         raise ValueError(f"need 1 <= N <= {MAX_EXACT_N}")
 
     def objective(V):
-        denom_sq = sum(u.source.gauge(x) ** 2 for x in V)
+        denom_sq = sum(u.source.gauge_many(V) ** 2)
         if denom_sq <= 1e-18:
             return 0.0
         avg = rademacher_average(u.target, V @ np.asarray(u.matrix).T, 2.0)
@@ -224,7 +224,7 @@ def cotype2_lower(
         avg = rademacher_average(u.source, V, 2.0)
         if avg.value <= 1e-18:
             return 0.0
-        num_sq = sum(u.target.gauge(u.apply(x)) ** 2 for x in V)
+        num_sq = sum(u.target.gauge_many(u.apply_many(V)) ** 2)
         return math.sqrt(num_sq) / avg.value
 
     if not np.any(u.matrix):
@@ -251,7 +251,7 @@ def cotype_q_lower(
         avg = rademacher_average(space, V, q)
         if avg.value <= 1e-18:
             return 0.0
-        num = sum(space.gauge(x) ** q for x in V) ** (1.0 / q)
+        num = float(sum(space.gauge_many(V) ** q)) ** (1.0 / q)
         return num / avg.value
 
     value, witness = _search_tuples(objective, n, space.dim, budget, rng)

@@ -11,11 +11,14 @@ representations:
 
 Every space knows its gauge (Minkowski functional of the unit ball), the
 gauge of its convex envelope, and the dual gauge, i.e. the support function
-of the envelope ball.  The facts that exact routes elsewhere rest on are
-methods of the kind, ``None`` where a kind lacks them: the quadratic form,
-per-coordinate scales, the ball's finite generators with their hull
-exponent, the dual ball's atoms, the closed-form enclosing and inscribed
-ellipsoids, and the exact volume with its route.
+of the envelope ball.  Each kind evaluates its gauge in one batched kernel
+over rows; the scalar gauge is that kernel on one row, and the envelope
+gauge is the gauge of the envelope space, built once per space.  The
+facts that exact routes elsewhere rest on are methods of the kind, ``None``
+where a kind lacks them: the quadratic form, per-coordinate scales, the
+ball's finite generators with their hull exponent, the dual ball's atoms,
+the closed-form enclosing and inscribed ellipsoids, and the exact volume
+with its route.
 Gauges satisfy the r-triangle inequality
 ``gauge(x + y)**r <= gauge(x)**r + gauge(y)**r`` for the space's
 ``r_exponent``.  Spaces are immutable values: array fields are copied and
@@ -63,7 +66,9 @@ _FEAS_TOL = 1e-9
 
 
 class QuasiNormedSpace:
-    """Base interface; concrete spaces implement the gauge trio."""
+    """Base interface.  A kind implements one gauge kernel, ``_gauge_rows``,
+    on validated rows; the scalar, batched and envelope gauges derive from
+    it here, so all three agree bit for bit."""
 
     dim: int
 
@@ -71,21 +76,32 @@ class QuasiNormedSpace:
     def r_exponent(self) -> float:
         raise NotImplementedError
 
-    def gauge(self, x) -> float:
+    def _gauge_rows(self, pts: np.ndarray) -> np.ndarray:
+        """Gauges of the rows of a validated ``(n, dim)`` array."""
         raise NotImplementedError
+
+    def gauge(self, x) -> float:
+        # the kernel, not gauge_many, so one scalar call is one kernel call
+        return float(self._gauge_rows(as_vector(x, dim=self.dim)[None])[0])
 
     def gauge_many(self, points) -> np.ndarray:
-        pts = as_matrix(points, cols=self.dim)
-        return np.array([self.gauge(p) for p in pts])
+        return self._gauge_rows(as_matrix(points, cols=self.dim))
 
     def envelope_gauge(self, x) -> float:
-        raise NotImplementedError
+        return self._envelope.gauge(x)
+
+    @cached_property
+    def _envelope(self) -> "QuasiNormedSpace":
+        return self.envelope_space()
 
     def dual_gauge(self, f) -> float:
         raise NotImplementedError
 
     def envelope_space(self) -> "QuasiNormedSpace":
-        """The same ball convexified, as a space with r_exponent 1."""
+        """The same ball convexified, as a space with r_exponent 1; a
+        convex ball is its own envelope."""
+        if self.r_exponent == 1.0:
+            return self
         raise NotImplementedError
 
     def envelope_atoms(self) -> np.ndarray:
@@ -231,23 +247,12 @@ class WeightedLp(QuasiNormedSpace):
     def is_unweighted(self) -> bool:
         return bool(np.all(self.weights == self.weights[0]))
 
-    def gauge(self, x) -> float:
-        v = as_vector(x, dim=self.dim)
-        if math.isinf(self.p):
-            return float(np.max(self.weights * np.abs(v)))
-        return float((self.weights @ np.abs(v) ** self.p) ** (1.0 / self.p))
-
-    def gauge_many(self, points) -> np.ndarray:
-        pts = as_matrix(points, cols=self.dim)
+    def _gauge_rows(self, pts: np.ndarray) -> np.ndarray:
         if math.isinf(self.p):
             return np.max(np.abs(pts) * self.weights, axis=1)
+        if self.p == 1.0:  # the same values without two power passes
+            return np.abs(pts) @ self.weights
         return (np.abs(pts) ** self.p @ self.weights) ** (1.0 / self.p)
-
-    def envelope_gauge(self, x) -> float:
-        v = as_vector(x, dim=self.dim)
-        if self.p >= 1.0:
-            return self.gauge(v)
-        return float(self.weights ** (1.0 / self.p) @ np.abs(v))
 
     def dual_gauge(self, f) -> float:
         v = as_vector(f, dim=self.dim)
@@ -355,19 +360,8 @@ class Quadratic(QuasiNormedSpace):
     def quadratic_form(self) -> np.ndarray:
         return self.matrix
 
-    def gauge(self, x) -> float:
-        v = as_vector(x, dim=self.dim)
-        return math.sqrt(float(v @ self.matrix @ v))
-
-    def gauge_many(self, points) -> np.ndarray:
-        pts = as_matrix(points, cols=self.dim)
+    def _gauge_rows(self, pts: np.ndarray) -> np.ndarray:
         return np.sqrt(np.einsum("ij,jk,ik->i", pts, self.matrix, pts))
-
-    def envelope_gauge(self, x) -> float:
-        return self.gauge(x)
-
-    def envelope_space(self) -> "Quadratic":
-        return self
 
     def dual_gauge(self, f) -> float:
         v = as_vector(f, dim=self.dim)
@@ -405,22 +399,13 @@ class Schatten(QuasiNormedSpace):
     def r_exponent(self) -> float:
         return min(self.p, 1.0)
 
-    def _mat(self, x) -> np.ndarray:
-        v = as_vector(x, dim=self.dim)
-        return v.reshape(self.rows, self.cols)
-
-    def gauge(self, x) -> float:
-        s = singular_values(self._mat(x))
-        return float((s**self.p).sum() ** (1.0 / self.p))
-
-    def envelope_gauge(self, x) -> float:
-        s = singular_values(self._mat(x))
-        if self.p >= 1.0:
-            return float((s**self.p).sum() ** (1.0 / self.p))
-        return float(s.sum())
+    def _gauge_rows(self, pts: np.ndarray) -> np.ndarray:
+        # the same singular values as one SVD per matrix; compute_uv=False is not
+        s = np.linalg.svd(pts.reshape(-1, self.rows, self.cols), full_matrices=False)[1]
+        return (s**self.p).sum(axis=1) ** (1.0 / self.p)
 
     def dual_gauge(self, f) -> float:
-        s = singular_values(self._mat(f))
+        s = singular_values(as_vector(f, dim=self.dim).reshape(self.rows, self.cols))
         if self.p <= 1.0:
             return float(s.max())
         q = self.p / (self.p - 1.0)
@@ -436,11 +421,11 @@ class Schatten(QuasiNormedSpace):
 class Polytope(QuasiNormedSpace):
     """Convex hull of a symmetric full-dimensional vertex set; r_exponent 1.
 
-    The gauge is the optimal value of the exact linear program
-    ``min sum(lam) : vertices.T @ lam = x, lam >= 0`` (HiGHS, deterministic
-    for fixed input).  For dim <= 5 the equivalent facet form
-    ``max_f <n_f, x>`` is used for vectorized evaluation; the two agree to
-    solver precision and the test suite checks that.
+    For dim <= 5 the gauge is the facet form ``max_f <n_f, x>`` over the
+    hull's outer normals.  Above that it is the optimal value of the exact
+    linear program ``min sum(lam) : vertices.T @ lam = x, lam >= 0``
+    (HiGHS, deterministic for fixed input), one solve per row.  The two
+    agree to solver precision and the test suite checks that.
     """
 
     vertices: np.ndarray
@@ -465,41 +450,32 @@ class Polytope(QuasiNormedSpace):
     def r_exponent(self) -> float:
         return 1.0
 
-    def gauge(self, x) -> float:
-        v = as_vector(x, dim=self.dim)
-        scale = float(np.max(np.abs(v)))
-        if scale == 0.0:
-            return 0.0
-        # The gauge is positively homogeneous; solving at unit scale keeps
-        # tiny vectors from falling inside the LP's absolute feasibility
-        # tolerance (which would report gauge 0).
-        m = self.vertices.shape[0]
-        res = linprog(
-            np.ones(m),
-            A_eq=self.vertices.T,
-            b_eq=v / scale,
-            bounds=(0, None),
-            method="highs",
-        )
-        if res.status != 0:
-            raise RuntimeError(f"gauge LP failed with status {res.status}")
-        return float(res.fun) * scale
-
-    def gauge_many(self, points) -> np.ndarray:
-        pts = as_matrix(points, cols=self.dim)
+    def _gauge_rows(self, pts: np.ndarray) -> np.ndarray:
         if self.dim <= 5:
             return np.max(pts @ self.facet_normals.T, axis=1)
-        return np.array([self.gauge(p) for p in pts])
-
-    def envelope_gauge(self, x) -> float:
-        return self.gauge(x)
+        out = np.zeros(pts.shape[0])
+        for i, v in enumerate(pts):
+            scale = float(np.max(np.abs(v)))
+            if scale == 0.0:
+                continue
+            # The gauge is positively homogeneous; solving at unit scale keeps
+            # tiny vectors from falling inside the LP's absolute feasibility
+            # tolerance (which would report gauge 0).
+            res = linprog(
+                np.ones(len(self.vertices)),
+                A_eq=self.vertices.T,
+                b_eq=v / scale,
+                bounds=(0, None),
+                method="highs",
+            )
+            if res.status != 0:
+                raise RuntimeError(f"gauge LP failed with status {res.status}")
+            out[i] = float(res.fun) * scale
+        return out
 
     def dual_gauge(self, f) -> float:
         v = as_vector(f, dim=self.dim)
         return float(np.max(self.vertices @ v))
-
-    def envelope_space(self) -> "Polytope":
-        return self
 
     def envelope_atoms(self) -> np.ndarray:
         return np.asarray(self.extreme_vertices)
@@ -566,7 +542,9 @@ class RConvexAtoms(QuasiNormedSpace):
     ``gauge(x) = min (sum |lam_i|^r)^(1/r)`` over decompositions
     ``x = sum lam_i a_i``.  A minimizer is supported on at most ``dim``
     atoms, so the gauge is computed exactly by enumerating index subsets of
-    size <= dim and solving each linear system.
+    size <= dim and solving each linear system.  The envelope is the
+    :class:`Polytope` of the atoms and their negatives, so envelope gauges
+    read its facets for dim <= 5 and solve its LP above that.
     """
 
     atoms: np.ndarray
@@ -605,12 +583,7 @@ class RConvexAtoms(QuasiNormedSpace):
                 out.append((idx, np.linalg.pinv(block), block))
         return out
 
-    def gauge(self, x) -> float:
-        v = as_vector(x, dim=self.dim)
-        return float(self.gauge_many(v.reshape(1, -1))[0])
-
-    def gauge_many(self, points) -> np.ndarray:
-        pts = as_matrix(points, cols=self.dim)
+    def _gauge_rows(self, pts: np.ndarray) -> np.ndarray:
         n = pts.shape[0]
         scale = np.maximum(1.0, np.abs(pts).max(axis=1))
         best = np.full(n, np.inf)
@@ -624,24 +597,6 @@ class RConvexAtoms(QuasiNormedSpace):
         if np.any(np.isinf(best)):
             raise RuntimeError("no feasible decomposition found (atoms degenerate?)")
         return best
-
-    def envelope_gauge(self, x) -> float:
-        v = as_vector(x, dim=self.dim)
-        if not np.any(v):
-            return 0.0
-        a = np.asarray(self.atoms)
-        m = a.shape[0]
-        # min sum(pos + neg) s.t. atoms.T @ (pos - neg) = x
-        res = linprog(
-            np.ones(2 * m),
-            A_eq=np.hstack([a.T, -a.T]),
-            b_eq=v,
-            bounds=(0, None),
-            method="highs",
-        )
-        if res.status != 0:
-            raise RuntimeError(f"envelope LP failed with status {res.status}")
-        return float(res.fun)
 
     def dual_gauge(self, f) -> float:
         v = as_vector(f, dim=self.dim)

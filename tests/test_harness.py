@@ -17,7 +17,7 @@ from qnlab.harness import (
     suite_names,
     write_report,
 )
-from qnlab.spaces import Polytope, RConvexAtoms, Schatten, WeightedLp
+from qnlab.spaces import Polytope, Quadratic, RConvexAtoms, Schatten, WeightedLp
 
 ROUND_TRIP_TEXTS = [
     "euclidean dim=3",
@@ -25,6 +25,7 @@ ROUND_TRIP_TEXTS = [
     "lp p=1.0 weights=2.0,5.0",
     "lp p=inf weights=1.0,3.0",
     "schatten p=0.5 rows=2 cols=3",
+    "quadratic matrix=2.0,0.1;0.1,0.3",
     "polytope vertices=1.0,1.0;1.0,-1.0;-1.0,1.0;-1.0,-1.0",
     "atoms r=0.5 rows=1.0,0.0;0.0,1.0",
 ]
@@ -38,6 +39,7 @@ class TestSpaceGrammar:
     def test_parsed_types(self):
         assert isinstance(parse_space("euclidean dim=3"), WeightedLp)
         assert isinstance(parse_space("schatten p=1 rows=2 cols=2"), Schatten)
+        assert isinstance(parse_space("quadratic matrix=2,0.5;0.5,1"), Quadratic)
         assert isinstance(parse_space("polytope vertices=1,0;-1,0;0,1;0,-1"), Polytope)
         assert isinstance(parse_space("atoms r=0.5 rows=1,0;0,1"), RConvexAtoms)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from qnlab.numkernel import DegenerateMatrixError, RandomSource
 from qnlab.spaces import (
@@ -22,6 +23,17 @@ from qnlab.spaces import (
 )
 
 SQUARE = Polytope(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
+OCTA_PLUS = np.vstack([np.eye(3), [[1.0, 1.0, 0.0]]])
+
+
+def lp_gauge(atoms, x):
+    """Reference convex-hull gauge: ``min sum |lam| : atoms.T @ lam = x``,
+    as a linear program at the vector's own scale."""
+    a = np.asarray(atoms, dtype=float)
+    m = a.shape[0]
+    res = linprog(np.ones(2 * m), A_eq=np.hstack([a.T, -a.T]), b_eq=x, bounds=(0, None), method="highs")
+    assert res.status == 0
+    return float(res.fun)
 
 
 def finite_vectors(dim, lo=-4.0, hi=4.0):
@@ -81,13 +93,26 @@ class TestWeightedLpGauge:
         sp = WeightedLp.unweighted(0.5, 3)
         assert sp.gauge(lam * x) == pytest.approx(abs(lam) * sp.gauge(x), rel=1e-9, abs=1e-9)
 
-    @given(finite_vectors(3))
+    @given(finite_vectors(4))
     @settings(max_examples=40, deadline=None)
     def test_gauge_many_matches_gauge(self, x):
-        for sp in (WeightedLp.unweighted(0.5, 3), WeightedLp(math.inf, [1.0, 2.0, 0.5])):
-            batch = sp.gauge_many(np.vstack([x, 2 * x]))
-            assert batch[0] == pytest.approx(sp.gauge(x), rel=1e-12, abs=1e-12)
-            assert batch[1] == pytest.approx(sp.gauge(2 * x), rel=1e-12, abs=1e-12)
+        # every kind: the scalar gauge is the batch kernel on one row, bit
+        # for bit; other batch rows agree to rounding
+        kinds = (
+            WeightedLp.unweighted(0.5, 3),
+            WeightedLp(math.inf, [1.0, 2.0, 0.5]),
+            WeightedLp.unweighted(2 / 3, 3),
+            Quadratic([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 3.0]]),
+            Schatten(0.5, 2, 2),
+            Polytope(np.vstack([OCTA_PLUS, -OCTA_PLUS])),
+            RConvexAtoms(OCTA_PLUS, 0.5),
+        )
+        for sp in kinds:
+            v = x[: sp.dim]
+            assert sp.gauge(v) == sp.gauge_many(v[None])[0]
+            batch = sp.gauge_many(np.vstack([v, 2 * v]))
+            assert batch[0] == pytest.approx(sp.gauge(v), rel=1e-12, abs=1e-12)
+            assert batch[1] == pytest.approx(sp.gauge(2 * v), rel=1e-12, abs=1e-12)
 
 
 class TestDualGauges:
@@ -176,6 +201,27 @@ class TestPolytopeAndAtoms:
         for t in (1e-9, 1e-300):
             assert SQUARE.gauge([2.0 * t, 0.0]) == pytest.approx(2.0 * t)
             assert SQUARE.gauge([t, t]) == pytest.approx(t)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_facet_gauges_match_lp_reference(self, dim):
+        gen = RandomSource(31).split(dim).generator()
+        half = gen.standard_normal((dim + 3, dim))
+        poly = Polytope(np.vstack([half, -half]))
+        atoms = RConvexAtoms(half, 0.5)
+        for x in gen.standard_normal((20, dim)):
+            ref = lp_gauge(half, x)
+            assert poly.gauge(x) == pytest.approx(ref, rel=1e-9)
+            assert atoms.envelope_gauge(x) == pytest.approx(ref, rel=1e-9)
+
+    def test_lp_route_above_dim_five(self):
+        # the cross-polytope is the l1 ball; dim 6 solves one LP per row
+        eye = np.eye(6)
+        cross = Polytope(np.vstack([eye, -eye]))
+        ell1 = WeightedLp.unweighted(1.0, 6)
+        x = RandomSource(32).generator().standard_normal(6)
+        for t in (1.0, 1e-9, 1e-300):
+            assert cross.gauge(t * x) == pytest.approx(ell1.gauge(t * x), rel=1e-9)
+        assert cross.gauge_many(np.zeros((2, 6))).tolist() == [0.0, 0.0]
 
     def test_polytope_requires_symmetry_and_span(self):
         with pytest.raises(ValueError):
