@@ -992,13 +992,13 @@ def _run_suite_lemma5(config: ExperimentConfig):
                 )
                 gen = rng.split(25, d).generator()
                 worst = -math.inf
+                exact = True
                 for _ in range(3):
                     x = gen.standard_normal(d)
                     y = gen.standard_normal(d)
-                    nx = interpolation.theta_norm(pair, params, x).value
-                    ny = interpolation.theta_norm(pair, params, y).value
-                    nxy = interpolation.theta_norm(pair, params, x + y).value
-                    worst = max(worst, nxy / (nx + ny) - 1.0)
+                    nx, ny, nxy = (interpolation.theta_norm(pair, params, v) for v in (x, y, x + y))
+                    worst = max(worst, nxy.value / (nx.value + ny.value) - 1.0)
+                    exact = exact and nx.exact and ny.exact and nxy.exact
                 records.append(
                     {
                         "r": r,
@@ -1006,6 +1006,7 @@ def _run_suite_lemma5(config: ExperimentConfig):
                         "below_threshold": theta < threshold,
                         "dim": d,
                         "max_triangle_defect": worst,
+                        "exact": exact,
                     }
                 )
     _running_max(records, "max_triangle_defect")

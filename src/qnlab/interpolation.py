@@ -18,7 +18,14 @@ One route selector serves ``k_functional`` (at one t) and ``theta_norm``
   (A0, A1) gives ``K_2(t, x)^2 = sum_i mu_i t^2 y_i^2 / (1 + mu_i t^2)``;
   it also gives the intermediate gauge in closed form
   (``quadratic_theta_norm_exact``), which the numerical integrator is
-  tested against.
+  tested against;
+* one space a weighted l1 and the other a weighted lr with r <= 1, in
+  either order, in dimension at most 8 (``_lattice_k``): splits can be
+  taken as x0 = lam * x with lam in the unit box, where the l1 term is
+  linear and the lr term concave.  For s <= 1 the minimum sits at one of
+  the 2^d coordinate masks; for s = 2 on one of the box edges, each a 1-D
+  problem whose minimum a bisection finds.  This covers the pairs
+  (envelope of l_r^d, l_r^d).
 
 Everything else is a budgeted Nelder-Mead minimization over splits x0,
 run in two stages over all the nodes at once (``_search_k``):
@@ -33,13 +40,14 @@ run in two stages over all the nodes at once (``_search_k``):
 
 The returned value is then an upper estimate of the true infimum, bracketed
 below by ``2^(1/s - 1/r) * max(min(1, t c) g0(x), min(1/C, t) g1(x))``
-where c <= g1/g0 <= C are the pair's equivalence constants (sampled with
-deterministic axis directions included, hence exact for the diagonal
-families exercised in the experiments).
+where c <= g1/g0 <= C are the pair's equivalence constants (in closed form
+for weighted Lp pairs; otherwise sampled with deterministic axis directions
+included, hence exact whenever the ratio extremes sit on axes).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -50,7 +58,7 @@ from scipy.optimize import minimize
 
 from .factorization import op_norm
 from .numkernel import RandomSource, as_matrix, as_vector
-from .spaces import OperatorSpec, QuasiNormedSpace, Quadratic
+from .spaces import OperatorSpec, QuasiNormedSpace, Quadratic, WeightedLp
 from .randsigns import ConstantEstimate, _search_tuples, rademacher_average
 
 
@@ -111,12 +119,22 @@ class NormPair:
     def equivalence_constants(
         self, rng: RandomSource | None = None, directions: int = 1000
     ) -> tuple[float, float]:
-        """Witnessed (c, C) with c <= g1(x)/g0(x) <= C on the sampled set.
+        """(c, C) with c <= g1(x)/g0(x) <= C.
 
-        Axis directions and the all-ones vector are always included, so the
-        constants are exact whenever the ratio extremes sit on axes (every
-        diagonal pair).
+        Two weighted Lp spaces get the true extremes in closed form.  With
+        g_p(x) = ||x / s0||_p, g_q(x) = ||x / s1||_q and a = s0 / s1 (the
+        ratio of axis scales), ``sup g1/g0 = sup ||a y||_q / ||y||_p``, which
+        is max a_i when q >= p and ||a||_rho with 1/rho = 1/q - 1/p (Holder)
+        when q < p; the infimum is the reciprocal of the same formula with
+        the roles swapped.  Other pairs get the extremes witnessed on
+        ``directions`` sampled directions, axis directions and the all-ones
+        vector always included, so exact whenever the ratio extremes sit
+        on axes (every diagonal pair).
         """
+        sp0, sp1 = self.space0, self.space1
+        if isinstance(sp0, WeightedLp) and isinstance(sp1, WeightedLp):
+            a = np.asarray(sp0.scales) / np.asarray(sp1.scales)
+            return 1.0 / _lp_ratio_sup(1.0 / a, sp1.p, sp0.p), _lp_ratio_sup(a, sp0.p, sp1.p)
         key = (directions, None if rng is None else (rng.seed, rng.path))
         cache = self.__dict__.setdefault("_ratio_cache", {})
         if key in cache:
@@ -137,11 +155,24 @@ class NormPair:
         return out
 
 
+def _lp_ratio_sup(a: np.ndarray, p: float, q: float) -> float:
+    """``sup over y != 0 of ||a y||_q / ||y||_p`` for positive a."""
+    top = float(a.max())
+    if q >= p:
+        return top
+    rho = 1.0 / (1.0 / q - 1.0 / p)
+    return top * float(np.sum((a / top) ** rho) ** (1.0 / rho))  # overflow-safe
+
+
 @dataclass(frozen=True)
 class KValue:
     value: float  # best split found (an upper estimate unless exact)
     lower: float  # analytic lower bound on the true infimum
     exact: bool
+
+
+_MAX_MASK_DIM = 8  # coordinate masks are enumerated up to this dimension
+_BISECTIONS = 60
 
 
 def _separable_k(a: np.ndarray, b: np.ndarray, ts: np.ndarray, x: np.ndarray, s: float) -> np.ndarray:
@@ -164,6 +195,119 @@ def _separable_k(a: np.ndarray, b: np.ndarray, ts: np.ndarray, x: np.ndarray, s:
     return np.sum(per**s, axis=1) ** (1.0 / s)
 
 
+def _lattice_k(
+    lin: QuasiNormedSpace,
+    cav: QuasiNormedSpace,
+    s: float,
+    t_lin: np.ndarray,
+    t_cav: np.ndarray,
+    x: np.ndarray,
+) -> np.ndarray:
+    """Exact values of ``inf ((t_lin g0(x0))^s + (t_cav g1(x - x0))^s)^(1/s)``
+    at every node, for s <= 1 or s = 2, when g0 = ``lin`` is a weighted l1
+    gauge ``sum_i a_i |x_i|`` and g1 = ``cav`` a weighted lr gauge
+    ``(sum_i (b_i |x_i|)^r)^(1/r)`` with r <= 1.  The splitting value takes
+    t_lin = 1, t_cav = t; the reversed pair takes t_lin = t, t_cav = 1,
+    which is ``K(t, x; X0, X1) = t K(1/t, x; X1, X0)`` without rounding 1/t.
+
+    Both gauges are unconditional, so clipping a split coordinate to the
+    segment [0, x_i] lowers both terms: x0 = lam * x with lam in [0, 1]^d.
+    Then A(lam) = g0(x0) is linear and B(lam) = g1(x - x0) is concave.
+
+    * s <= 1: A^s + t^s B^s is concave, so its minimum over the box sits at
+      one of the 2^d vertices, the coordinate masks.
+    * s = 2: at a minimizer lam*, lam* also minimizes the concave B over the
+      polytope {lam in the box : A(lam) = A(lam*)}, whose vertices lie on
+      edges of the box.  So the minimum is on one of the d 2^(d-1) edges.
+      On an edge, with v = 1 - lam_i, the objective is
+      ``f(v) = (alpha + beta (1 - v))^2 + t^2 (c + gamma v^r)^(2/r)`` and
+      ``f'/2 = G(v) - beta (alpha + beta)``, where
+      ``G(v) = t^2 gamma h(v) + beta^2 v`` and
+      ``h(v) = v^(r-1) (c + gamma v^r)^((2-r)/r)``.  With y = gamma v^r / c
+      and z = (2 - r)/(1 + y), ``v h'/h = 1 - z`` and
+      ``v^2 h''/h = z (z - 1) + r y z/(1 + y)``.  So h decreases exactly
+      where z > 1, an initial segment of the edge since z falls as v grows,
+      and is strictly convex there: G' increases on that segment and is
+      positive after it.  G is quasi-convex, and f' changes sign at most
+      twice, as +, -, +.  The interior minimum of an edge is therefore the
+      last point where ``G'(v) < 0 or G(v) < beta (alpha + beta)``, a
+      predicate that holds on an initial segment of the edge: one
+      vectorized bisection per (node, edge) finds it.  The bisection runs
+      on u = v^r, which resolves B^r = c + gamma u uniformly, and 60
+      halvings suffice.
+
+    Every bisected point is a feasible split, so no edge value falls below
+    the true minimum; the minimum with the mask values is the infimum up
+    to rounding (Peetre's K-functional; Bergh and Lofstrom, Interpolation
+    Spaces, 1976, ch. 3).  The masks are valued by the spaces' own gauges,
+    as the split search values its starts.
+    """
+    r = cav.r_exponent
+    masks = np.array(list(itertools.product((0.0, 1.0), repeat=x.shape[0])))
+    a_mask = lin.gauge_many(masks * x)
+    b_mask = cav.gauge_many((1.0 - masks) * x)
+    vals = np.min((t_lin[:, None] * a_mask) ** s + (t_cav[:, None] * b_mask) ** s, axis=1)
+    if s == 2.0:
+        # B = (...)^(1/r) amplifies relative errors by 1/r: the edge values
+        # are formed in extended precision where the platform has it
+        ax = np.abs(x).astype(np.longdouble)
+        u = lin.coordinate_scales(1.0) * ax
+        w = (cav.coordinate_scales(r) * ax) ** np.longdouble(r)
+        vals = _edge_minima(u, w, r, t_lin**2, t_cav**2, vals)
+    return vals ** (1.0 / s)
+
+
+def _edge_minima(
+    u: np.ndarray, w: np.ndarray, r: float, ta: np.ndarray, tb: np.ndarray, best: np.ndarray
+) -> np.ndarray:
+    """``best`` lowered, node by node, to the smallest value of
+    ``ta A^2 + tb B^2`` inside the box edges, where A = sum_i lam_i u_i and
+    B^r = sum_i (1 - lam_i) w_i: the s = 2 case of ``_lattice_k`` with
+    t^2 = tb/ta, kept as two factors.
+
+    Along an edge A >= alpha and B^r >= c, so an edge whose bound
+    ``ta alpha^2 + tb c^(2/r)`` is not below ``best`` cannot improve it and
+    is skipped, as are the flat edges along zero coordinates.  The
+    bisection runs in double precision, the values in the precision of u
+    and w."""
+    live = np.flatnonzero(u > 0)
+    rest = np.array(list(itertools.product((0.0, 1.0), repeat=u.shape[0] - 1)))
+    axis = np.repeat(live, len(rest))
+    lam = np.concatenate([np.insert(rest, i, 0.0, axis=1) for i in live])
+    free = 1.0 - lam
+    free[np.arange(len(axis)), axis] = 0.0
+    alpha, c = lam @ u, free @ w
+    # powers overflow where the mask values do, and inside the bisection
+    # (h/v up, v down) only where B^r is flat to rounding
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = ta[:, None] * alpha.astype(float) ** 2 + tb[:, None] * c.astype(float) ** (2.0 / r)
+        node, edge = np.nonzero(bound < best[:, None])
+        alpha, beta, c, gamma = alpha[edge], u[axis[edge]], c[edge], w[axis[edge]]
+        ta, tb = ta[node], tb[node]
+        a, b, cc, g = (z.astype(float) for z in (alpha, beta, c, gamma))  # for the bisection
+        steep = ta * b**2
+        level = ta * b * (a + b)
+        tbg = tb * g
+        lo, hi = np.zeros(len(node)), np.ones(len(node))
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            gu = g * mid
+            phi = cc + gu
+            tbgh_over_v = tbg * (phi / mid) ** ((2.0 - r) / r)
+            slope = (1.0 - r) - (2.0 - r) * gu / phi  # -v h'/h
+            before = (tbgh_over_v * slope > steep) | ((tbgh_over_v + steep) * mid ** (1.0 / r) < level)
+            np.copyto(lo, mid, where=before)
+            np.copyto(hi, mid, where=~before)
+    # A and B both from the split v, so that f is the objective of one
+    # feasible split (v**r need not give back hi exactly)
+    rl = w.dtype.type(r)
+    v = hi.astype(w.dtype) ** (1 / rl)
+    f = ta * (alpha + beta * (1 - v)) ** 2 + tb * (c + gamma * v**rl) ** (2 / rl)
+    out = best.copy()
+    np.minimum.at(out, node, f.astype(float))
+    return out
+
+
 def _exact_k(pair: NormPair, s: float, ts: np.ndarray, x: np.ndarray) -> np.ndarray | None:
     """Exact splitting values of x at every t in ``ts``, or None when no
     exact route covers the pair at exponent s (see the module docstring)."""
@@ -178,7 +322,17 @@ def _exact_k(pair: NormPair, s: float, ts: np.ndarray, x: np.ndarray) -> np.ndar
         y2 = (back @ x) ** 2
         tt = ts[:, None] ** 2
         return np.sqrt(np.sum(mu * tt * y2 / (1.0 + mu * tt), axis=1))
+    if pair.dim <= _MAX_MASK_DIM and (s <= 1.0 or s == 2.0):
+        one = np.ones_like(ts)
+        if _is_l1_lr(sp0, sp1):
+            return _lattice_k(sp0, sp1, s, one, ts, x)
+        if _is_l1_lr(sp1, sp0):
+            return _lattice_k(sp1, sp0, s, ts, one, x)
     return None
+
+
+def _is_l1_lr(lin: QuasiNormedSpace, cav: QuasiNormedSpace) -> bool:
+    return lin.coordinate_scales(1.0) is not None and cav.coordinate_scales(cav.r_exponent) is not None
 
 
 # Nelder-Mead coefficients and start-simplex steps, as in scipy's
@@ -302,7 +456,7 @@ def _search_k(
     """
     sp0, sp1 = pair.space0, pair.space1
     starts = [np.zeros_like(x), x, 0.5 * x]
-    if pair.dim <= 8:
+    if pair.dim <= _MAX_MASK_DIM:
         starts.extend(np.diag(x))
     starts = np.array(starts)
     ns, nt = len(starts), len(ts)
@@ -353,9 +507,10 @@ def k_functional(
 
     Exact on the routes listed in the module docstring (equal spaces at
     their triangle exponent, per-coordinate scales, quadratic pairs at
-    s = 2).  Otherwise a budgeted split search returns an upper estimate
-    together with the analytic lower bound from the pair's equivalence
-    constants.
+    s = 2, weighted l1 against weighted lr pairs at s <= 1 or s = 2);
+    ``budget`` and ``warm_start`` then play no part.  Otherwise a budgeted
+    split search returns an upper estimate together with the analytic
+    lower bound from the pair's equivalence constants.
     """
     if not (t > 0):
         raise ValueError("t must be positive")
@@ -423,22 +578,28 @@ class ThetaNormResult:
     value: float
     theta: float
     tail_mass: float  # analytic share of the squared integral
+    exact: bool  # node values from an exact route, not the split search
 
 
 def theta_norm(pair: NormPair, params: ThetaParams, x) -> ThetaNormResult:
     """Intermediate gauge by log-space trapezoid quadrature plus analytic
     tails ``g1(x)^2 t_min^(2-2 theta)/(2-2 theta)`` and
     ``g0(x)^2 t_max^(-2 theta)/(2 theta)``.  The splitting values at the
-    nodes come from the exact route when one covers the pair, else from the
+    nodes come from the exact route when one covers the pair (quadratic
+    pairs, per-coordinate scales, and weighted l1 against weighted lr
+    pairs, whose s = 2 route bisects along the box edges), else from the
     two-stage split search: the cold starts of every node as one lockstep
-    Nelder-Mead batch, then a warm-start chain from node to node."""
+    Nelder-Mead batch, then a warm-start chain from node to node.
+    ``params.budget`` applies to the search only; ``exact`` says which
+    route ran."""
     v = as_vector(x, pair.dim)
     th = params.theta
     if not np.any(v):
-        return ThetaNormResult(0.0, th, 0.0)
+        return ThetaNormResult(0.0, th, 0.0, True)
     ts = np.geomspace(params.t_min, params.t_max, params.nodes)
     ks = _exact_k(pair, 2.0, ts, v)
-    if ks is None:
+    exact = ks is not None
+    if not exact:
         ks = _search_k(pair, ts, v, 2.0, params.budget, None)
     u = np.log(ts)
     integrand = ks**2 * np.exp(-2.0 * th * u)
@@ -450,7 +611,7 @@ def theta_norm(pair: NormPair, params: ThetaParams, x) -> ThetaNormResult:
     total = core + low_tail + high_tail
     value = math.sqrt(th * (1.0 - th) * total)
     tail = (low_tail + high_tail) / total if total > 0 else 0.0
-    return ThetaNormResult(value, th, tail)
+    return ThetaNormResult(value, th, tail, exact)
 
 
 def quadratic_theta_norm_exact(pair: NormPair, x, theta: float) -> float:

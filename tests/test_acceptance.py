@@ -443,8 +443,7 @@ def test_criterion_10_observational_suites():
     )
     problems = []
     for name in names:
-        budget = 20 if name == "suite:lemma5" else None
-        config = ExperimentConfig(experiment=name, seed=0, budget=budget)
+        config = ExperimentConfig(experiment=name, seed=0)
         first = run(config)
         second = run(config)
         if first.records != second.records or first.header != second.header:

@@ -1,10 +1,11 @@
 """Split functionals, intermediate gauges, and operator bounds."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scipy.optimize import minimize
@@ -100,6 +101,31 @@ class TestSplitFunctional:
             assert kv.lower <= kv.value * (1 + 1e-12)
             assert kv.value <= min(pair.space0.gauge(x), t * pair.space1.gauge(x)) + 1e-9
 
+    @pytest.mark.parametrize("p,q", [(2.0, 1.0), (1.0, 2.0), (math.inf, 0.5)])
+    def test_weighted_lp_constants_are_the_true_extremes(self, p, q):
+        gen = RandomSource(31).generator()
+        pair = NormPair(WeightedLp(p, gen.uniform(0.2, 5.0, 4)), WeightedLp(q, gen.uniform(0.2, 5.0, 4)))
+        c, cap = pair.equivalence_constants()
+        s0, s1 = pair.space0.scales, pair.space1.scales
+        # Holder's equality case: the extreme on the side where the
+        # exponents shrink sits off the axes and off the all-ones vector
+        lo, hi = min(p, q), max(p, q)
+        rho = 1.0 / (1.0 / lo - 1.0 / hi)
+        a = s0 / s1 if q < p else s1 / s0
+        witness = (s0 if q < p else s1) * a ** (rho / hi)
+        ratio = pair.space1.gauge(witness) / pair.space0.gauge(witness)
+        assert ratio == pytest.approx(cap if q < p else c, rel=1e-12)
+        # the other extreme sits on an axis
+        axes = pair.space1.gauge_many(np.eye(4)) / pair.space0.gauge_many(np.eye(4))
+        assert (axes.min() if q < p else axes.max()) == pytest.approx(c if q < p else cap, rel=1e-12)
+        # 1000 sampled directions, axes and all-ones included, bracket
+        # inside the true constants and miss the off-axis extreme
+        pts = np.vstack([np.eye(4), np.ones((1, 4)), gen.standard_normal((995, 4))])
+        sampled = pair.space1.gauge_many(pts) / pair.space0.gauge_many(pts)
+        assert c * (1 - 1e-12) <= sampled.min() and sampled.max() <= cap * (1 + 1e-12)
+        missed = cap / sampled.max() if q < p else sampled.min() / c
+        assert missed > 1.0 + 1e-6
+
     def test_monotone_in_t(self):
         pair = NormPair.diagonal([1.0, 2.0, 3.0], [2.5, 0.7, 1.1])
         x = np.array([0.3, -1.2, 0.8])
@@ -154,6 +180,89 @@ class TestSplitFunctional:
             kv = k_functional(pair, 2.0, t, x)
             assert kv.exact
             assert kv.value == pytest.approx(want, rel=1e-10)
+
+
+def _lattice_pair(r, w0, w1, flip):
+    lin, cav = WeightedLp(1.0, w0), WeightedLp(r, w1)
+    return NormPair(cav, lin) if flip else NormPair(lin, cav)
+
+
+@st.composite
+def lattice_cases(draw, max_dim=4):
+    """An l1 / lr pair in either order, a vector with some zero coordinates
+    and a few nodes t."""
+    d = draw(st.integers(min_value=2, max_value=max_dim))
+    r = draw(st.floats(min_value=0.05, max_value=1.0, exclude_min=True))
+    w0, w1 = draw(scale_vectors(d)), draw(scale_vectors(d))
+    coord = st.one_of(
+        st.just(0.0), st.floats(min_value=1e-3, max_value=3.0), st.floats(min_value=-3.0, max_value=-1e-3)
+    )
+    x = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+    assume(np.any(x))
+    ts = np.array(draw(st.lists(st.floats(min_value=1e-4, max_value=1e4), min_size=1, max_size=3)))
+    return r, w0, w1, x, ts, draw(st.booleans())
+
+
+def _brute_k(pair, s, ts, lam, x):
+    """Smallest split value over the splits x0 = lam * x, at every t."""
+    x0 = lam * x
+    g0, g1 = pair.space0.gauge_many(x0), pair.space1.gauge_many(x - x0)
+    return np.min(g0**s + (ts[:, None] * g1) ** s, axis=1) ** (1.0 / s)
+
+
+class TestLatticeRoute:
+    """The exact route for weighted l1 against weighted lr pairs, r <= 1."""
+
+    @given(lattice_cases(), st.sampled_from(["r", 1.0, 2.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_never_above_the_split_search(self, case, s):
+        r, w0, w1, x, ts, flip = case
+        s = r if s == "r" else s
+        pair = _lattice_pair(r, w0, w1, flip)
+        got = interpolation._exact_k(pair, s, ts, x)
+        searched = interpolation._search_k(pair, ts, x, s, 40, None)
+        assert np.all(got <= searched * (1.0 + 1e-15))
+
+    @given(lattice_cases(max_dim=3), st.sampled_from([1.0, 2.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_never_above_a_dense_grid(self, case, s):
+        r, w0, w1, x, ts, flip = case
+        pair = _lattice_pair(r, w0, w1, flip)
+        grid = np.linspace(0.0, 1.0, 201 if x.shape[0] == 2 else 41)
+        lam = np.array(list(itertools.product(grid, repeat=x.shape[0])))
+        got = interpolation._exact_k(pair, s, ts, x)
+        assert np.all(got <= _brute_k(pair, s, ts, lam, x) * (1.0 + 1e-15))
+
+    @given(lattice_cases(), st.sampled_from([0.5, 1.0, 2.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_reversal_identity(self, case, s):
+        r, w0, w1, x, ts, _ = case
+        s = max(s, r)
+        direct = interpolation._exact_k(_lattice_pair(r, w0, w1, False), s, ts, x)
+        reverse = interpolation._exact_k(_lattice_pair(r, w0, w1, True), s, 1.0 / ts, x)
+        np.testing.assert_allclose(ts * reverse, direct, rtol=1e-14)
+
+    @given(lattice_cases(), st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_concave_exponents_take_the_best_mask(self, case, frac):
+        r, w0, w1, x, ts, flip = case
+        s = r + frac * (1.0 - r)  # r <= s <= 1
+        pair = _lattice_pair(r, w0, w1, flip)
+        masks = np.array(list(itertools.product((0.0, 1.0), repeat=x.shape[0])))
+        got = interpolation._exact_k(pair, s, ts, x)
+        np.testing.assert_allclose(got, _brute_k(pair, s, ts, masks, x), rtol=1e-15)
+
+    def test_exact_up_to_dim_8_then_searched(self):
+        params = ThetaParams(0.3, nodes=50, t_min=1e-5, t_max=1e5, budget=5)
+        for d, exact in ((8, True), (9, False)):
+            sp = WeightedLp.unweighted(0.5, d)
+            pair = NormPair.from_spaces(sp.envelope_space(), sp)
+            x = RandomSource(13, (d,)).generator().standard_normal(d)
+            for s in (0.5, 1.0, 2.0):
+                assert (interpolation._exact_k(pair, s, np.array([1.0]), x) is not None) == exact
+                assert k_functional(pair, s, 1.0, x).exact == exact
+            assert theta_norm(pair, params, x).exact == exact
+            assert theta_norm(pair, params, np.zeros(d)).exact  # K = 0
 
 
 class TestIntermediateGauge:
@@ -406,10 +515,14 @@ class TestBatchedSplitSearch:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("r", [0.5, 2.0 / 3.0])
     def test_matches_per_node_search(self, monkeypatch, r, d, budget):
-        sp = WeightedLp.unweighted(r, d)
-        pair = NormPair.from_spaces(sp.envelope_space(), sp)
+        gen = RandomSource(11, (d,)).generator()
+        w0, w1 = gen.uniform(0.5, 2.0, d), gen.uniform(0.5, 2.0, d)
+        pair = NormPair.from_spaces(WeightedLp(1.5, w0), WeightedLp(r, w1))
         params = ThetaParams(0.9 * r / (2.0 - r), nodes=50, t_min=1e-5, t_max=1e5, budget=budget)
-        x = RandomSource(11, (d,)).generator().standard_normal(d)
+        x = gen.standard_normal(d)
+        # no exact route covers the pair, so both runs below really search
+        for s in (1.0, 2.0):
+            assert interpolation._exact_k(pair, s, np.array([0.05, 1.0, 20.0]), x) is None
         cases = [(s, t, warm) for s in (1.0, 2.0) for t in (0.05, 1.0, 20.0) for warm in (None, 0.3 * x)]
 
         def run():
