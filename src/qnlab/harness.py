@@ -980,16 +980,13 @@ def _run_suite_lemma1_exponent(config: ExperimentConfig):
 def _run_suite_lemma5(config: ExperimentConfig):
     rng = _root(config)
     records = []
-    params_budget = config.budget or 40
     for r in (0.5, 2.0 / 3.0):
         threshold = r / (2.0 - r)
         for theta in (0.7 * threshold, 0.95 * threshold, min(0.95, 1.3 * threshold)):
             for d in (2, 3):
                 sp = WeightedLp.unweighted(r, d)
                 pair = interpolation.NormPair.from_spaces(sp.envelope_space(), sp)
-                params = interpolation.ThetaParams(
-                    theta, nodes=50, t_min=1e-5, t_max=1e5, budget=params_budget
-                )
+                params = interpolation.ThetaParams(theta, nodes=50, t_min=1e-5, t_max=1e5)
                 gen = rng.split(25, d).generator()
                 worst = -math.inf
                 exact = True

@@ -19,6 +19,10 @@ One route selector serves ``k_functional`` (at one t) and ``theta_norm``
   it also gives the intermediate gauge in closed form
   (``quadratic_theta_norm_exact``), which the numerical integrator is
   tested against;
+* both spaces quadratic and s = 1 (``_dual_minima``): by duality,
+  ``K_1(t, x)^2 = min over lam in [0, 1] of sum_i y_i^2 / (1 - lam +
+  lam / (t^2 mu_i))`` in the same coordinates, a convex problem in lam
+  that one bisection solves;
 * one space a weighted l1 and the other a weighted lr with r <= 1, in
   either order, in dimension at most 8 (``_lattice_k``): splits can be
   taken as x0 = lam * x with lam in the unit box, where the l1 term is
@@ -27,16 +31,11 @@ One route selector serves ``k_functional`` (at one t) and ``theta_norm``
   problem whose minimum a bisection finds.  This covers the pairs
   (envelope of l_r^d, l_r^d).
 
-Everything else is a budgeted Nelder-Mead minimization over splits x0,
-run in two stages over all the nodes at once (``_search_k``):
-
-1. cold starts: the starts 0, x, x/2 and the coordinate masks of x at every
-   node run as one lockstep batch of simplices (``_nelder_mead_many``)
-   whose stages are single ``gauge_many`` calls; the kernel takes the same
-   steps as ``scipy.optimize.minimize(method="Nelder-Mead")`` on each
-   simplex;
-2. warm-start chain: node by node, one scalar solve through ``minimize``
-   from the best split of the previous node.
+Everything else is a budgeted Nelder-Mead minimization over splits x0
+(``_search_k``): node by node, ``scipy.optimize.minimize`` from the starts
+0, x, x/2, the coordinate masks of x and the best split of the previous
+node.  No pair that the experiments or the benchmark build reaches it;
+general pairs such as weighted l1.5 against weighted l0.5 do.
 
 The returned value is then an upper estimate of the true infimum, bracketed
 below by ``2^(1/s - 1/r) * max(min(1, t c) g0(x), min(1/C, t) g1(x))``
@@ -322,6 +321,12 @@ def _exact_k(pair: NormPair, s: float, ts: np.ndarray, x: np.ndarray) -> np.ndar
         y2 = (back @ x) ** 2
         tt = ts[:, None] ** 2
         return np.sqrt(np.sum(mu * tt * y2 / (1.0 + mu * tt), axis=1))
+    if pair.is_quadratic and s == 1.0:
+        mu, back = pair._eigsplit
+        # S(0), S(1): the splits x0 = x, x0 = 0 by the spaces' own gauges, as
+        # eigen-coordinates lose digits when the pair is ill-conditioned
+        ends = np.minimum(sp0.gauge(x), ts * sp1.gauge(x)) ** 2
+        return np.sqrt(_dual_minima(ts[:, None] ** 2 * mu, (back @ x) ** 2, ends))
     if pair.dim <= _MAX_MASK_DIM and (s <= 1.0 or s == 2.0):
         one = np.ones_like(ts)
         if _is_l1_lr(sp0, sp1):
@@ -331,166 +336,74 @@ def _exact_k(pair: NormPair, s: float, ts: np.ndarray, x: np.ndarray) -> np.ndar
     return None
 
 
+def _dual_minima(a: np.ndarray, y2: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """``best`` (S(0) and S(1) below) lowered, node by node, to K_1(t, x)^2
+    of a quadratic pair, from ``a = t^2 mu`` (one row per node) and the
+    eigen-coordinates y of x (``y2 = y^2``).
+
+    In those coordinates g0(x)^2 = sum_i y_i^2 and g1(x)^2 = sum_i mu_i
+    y_i^2, and by duality ``K_1(t, x) = sup <g, y>`` over the g with
+    ``sum_i g_i^2 <= 1`` and ``sum_i g_i^2 / mu_i <= t^2``.  For lam in
+    [0, 1], the ellipsoid ``sum_i g_i^2 (1 - lam + lam / a_i) <= 1``
+    contains that set, so ``S(lam) = sum_i y_i^2 a_i / D_i`` with
+    ``D_i = (1 - lam) a_i + lam`` bounds K_1^2 from above; g = 0 is
+    strictly feasible, so Lagrange duality holds and K_1^2 is the minimum
+    of S (Bergh and Lofstrom, Interpolation Spaces, 1976, ch. 3).  S is
+    convex, so one vectorized bisection on the sign of
+    ``S'(lam) = -sum_i y_i^2 a_i (1 - a_i) / D_i^2`` finds its minimum,
+    and the smallest S over the evaluated lam, S(0) = g0(x)^2 and
+    S(1) = t^2 g1(x)^2 included, is never below the infimum beyond
+    rounding.
+    """
+    lo, hi = np.zeros((a.shape[0], 1)), np.ones((a.shape[0], 1))
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        den = (1.0 - mid) * a + mid
+        best = np.minimum(best, np.sum(y2 * a / den, axis=1))
+        falling = np.sum(y2 * a * (1.0 - a) / den**2, axis=1, keepdims=True) > 0
+        np.copyto(lo, mid, where=falling)
+        np.copyto(hi, mid, where=~falling)
+    return best
+
+
 def _is_l1_lr(lin: QuasiNormedSpace, cav: QuasiNormedSpace) -> bool:
     return lin.coordinate_scales(1.0) is not None and cav.coordinate_scales(cav.r_exponent) is not None
 
 
-# Nelder-Mead coefficients and start-simplex steps, as in scipy's
-# ``_minimize_neldermead`` (non-adaptive): reflection, expansion,
-# contraction, shrink; a 5% step, or 0.00025 where a coordinate is zero.
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
-_NONZDELT, _ZDELT = 0.05, 0.00025
-_XATOL, _FATOL = 1e-10, 1e-14
+_XATOL, _FATOL = 1e-10, 1e-14  # Nelder-Mead stop tolerances of the split search
 
 
-def _nelder_mead_many(
-    objective, x0: np.ndarray, maxfev: int, xatol: float, fatol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Independent Nelder-Mead minimizations run in lockstep.
-
-    Row m of ``x0`` starts simplex m.  ``objective(points, rows)`` returns
-    the values at ``points``, where ``rows[k]`` is the simplex that point k
-    belongs to.  Each stage (start simplex, reflection, expansion or
-    contraction, shrink) is one objective call for every simplex that
-    needs it.  Simplex by simplex, the steps, the ``argsort`` orderings,
-    the ``xatol``/``fatol`` stop and the ``maxfev`` accounting are those of
-    ``scipy.optimize.minimize(method="Nelder-Mead")``, including a budget
-    that runs out inside an iteration (the pending step is dropped) or a
-    shrink (the vertices moved so far stay moved, the last one unevaluated).
-    Returns ``(x, fun)`` per simplex.
-    """
-    m, n = x0.shape
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    for k in range(n):
-        col = sim[:, k + 1, k]
-        sim[:, k + 1, k] = np.where(col != 0, (1 + _NONZDELT) * col, _ZDELT)
-    fsim = np.full((m, n + 1), np.inf)
-    first = min(n + 1, maxfev)
-    fsim[:, :first] = objective(
-        sim[:, :first].reshape(-1, n), np.repeat(np.arange(m), first)
-    ).reshape(m, first)
-    for _ in range(2):  # scipy sorts twice after the start simplex
-        order = np.argsort(fsim, axis=1)
-        sim = np.take_along_axis(sim, order[:, :, None], axis=1)
-        fsim = np.take_along_axis(fsim, order, axis=1)
-    fcalls = np.full(m, first)
-    live = np.flatnonzero(fcalls < maxfev)
-    while live.size:
-        sm, fs = sim[live], fsim[live]
-        converged = (np.abs(sm[:, 1:] - sm[:, :1]).max(axis=(1, 2)) <= xatol) & (
-            np.abs(fs[:, :1] - fs[:, 1:]).max(axis=1) <= fatol
-        )
-        act = ~converged
-        live, sm, fs = live[act], sm[act], fs[act]
-        if not live.size:
-            break
-        xbar = sm[:, 0].copy()
-        for j in range(1, n):
-            xbar += sm[:, j]
-        xbar /= n
-        worst = sm[:, -1]
-        xr = (1 + _RHO) * xbar - _RHO * worst
-        fxr = objective(xr, live)
-        fcalls[live] += 1
-        # second evaluation: expansion, or contraction outside or inside
-        expand = fxr < fs[:, 0]
-        accept_r = ~expand & (fxr < fs[:, -2])
-        outside = ~expand & ~accept_r & (fxr < fs[:, -1])
-        second = ~accept_r & (fcalls[live] < maxfev)
-        x2 = np.where(
-            expand[:, None],
-            (1 + _RHO * _CHI) * xbar - _RHO * _CHI * worst,
-            np.where(
-                outside[:, None],
-                (1 + _PSI * _RHO) * xbar - _PSI * _RHO * worst,
-                (1 - _PSI) * xbar + _PSI * worst,
-            ),
-        )
-        f2 = np.full(live.size, np.nan)
-        f2[second] = objective(x2[second], live[second])
-        fcalls[live[second]] += 1
-        better = np.where(expand, f2 < fxr, np.where(outside, f2 <= fxr, f2 < fs[:, -1]))
-        take_r = accept_r | (second & expand & ~better)
-        take_2 = second & better
-        shrink = second & ~expand & ~better
-        sm[take_r, -1], fs[take_r, -1] = xr[take_r], fxr[take_r]
-        sm[take_2, -1], fs[take_2, -1] = x2[take_2], f2[take_2]
-        if shrink.any():
-            rows = np.flatnonzero(shrink)
-            best = sm[rows, :1]
-            moved = best + _SIGMA * (sm[rows, 1:] - best)
-            left = maxfev - fcalls[live[rows]]  # evaluations the budget allows
-            vertex = np.arange(n)
-            # vertices 1..left are moved and evaluated; vertex left + 1, if
-            # any, is moved when the budget runs out and keeps its old value
-            r, j = np.nonzero(vertex <= left[:, None])
-            sm[rows[r], j + 1] = moved[r, j]
-            r, j = np.nonzero(vertex < left[:, None])
-            fs[rows[r], j + 1] = objective(moved[r, j], live[rows[r]])
-            fcalls[live[rows]] += np.minimum(left, n)
-        order = np.argsort(fs, axis=1)
-        sim[live] = np.take_along_axis(sm, order[:, :, None], axis=1)
-        fsim[live] = np.take_along_axis(fs, order, axis=1)
-        live = live[fcalls[live] < maxfev]
-    return sim[:, 0], fsim.min(axis=1)
-
-
-def _search_k(
-    pair: NormPair,
-    ts: np.ndarray,
-    x: np.ndarray,
-    s: float,
-    budget: int,
-    warm_start: np.ndarray | None,
-) -> np.ndarray:
+def _search_k(pair: NormPair, ts: np.ndarray, x: np.ndarray, s: float, budget: int) -> np.ndarray:
     """Searched splitting values of x at every t in ``ts``.
 
-    Each node minimizes ``g0(x0)^s + (t g1(x - x0))^s`` with Nelder-Mead
-    from the cold starts 0, x, x/2 and (for d <= 8) the coordinate masks of
-    x, then from a warm start: ``warm_start`` at the first node, the best
-    split of the previous node after that.  The cold starts of all nodes
-    run as one lockstep batch over ``gauge_many``; the warm starts form a
-    chain node by node through ``minimize``.  A node keeps the first
-    smallest value in the order start value, result, start by start, warm
-    start last.
+    Each node minimizes ``g0(x0)^s + (t g1(x - x0))^s`` with a budgeted
+    Nelder-Mead (``minimize``) from the starts 0, x, x/2, (for d <= 8) the
+    coordinate masks of x and, after the first node, the best split of the
+    previous node.  The starts and results are then valued in one batch
+    per space, as the exact routes value their splits (a lone row can round
+    differently, and an lr gauge amplifies that by 1/r), and a node keeps
+    the first smallest value in the order start, result, start by start.
     """
     sp0, sp1 = pair.space0, pair.space1
-    starts = [np.zeros_like(x), x, 0.5 * x]
+    cold = [np.zeros_like(x), x, 0.5 * x]
     if pair.dim <= _MAX_MASK_DIM:
-        starts.extend(np.diag(x))
-    starts = np.array(starts)
-    ns, nt = len(starts), len(ts)
-    cold = np.tile(starts, (nt, 1))
-    t_cold = np.repeat(ts, ns)
-
-    def batch(points, rows):
-        return sp0.gauge_many(points) ** s + (t_cold[rows] * sp1.gauge_many(x - points)) ** s
-
-    res_x, res_f = _nelder_mead_many(batch, cold, budget, _XATOL, _FATOL)
-    start_f = batch(cold, np.arange(cold.shape[0]))
-    # start value then result, start by start: argmin keeps the first minimum
-    seq = np.stack([start_f, res_f], axis=1).reshape(nt, 2 * ns)
-    pick = np.argmin(seq, axis=1)
-    vals = seq[np.arange(nt), pick]
-    picked = ns * np.arange(nt) + pick // 2
-    best = np.where((pick % 2 == 0)[:, None], cold[picked], res_x[picked])
+        cold.extend(np.diag(x))
     options = {"maxfev": budget, "xatol": _XATOL, "fatol": _FATOL}
-    ks = np.empty(nt)
-    warm = warm_start
+    ks = np.empty(len(ts))
+    warm = []
     for i, t in enumerate(ts):
-        if warm is not None:
 
-            def objective(x0):
-                return sp0.gauge(x0) ** s + (t * sp1.gauge(x - x0)) ** s
+        def objective(x0):
+            return sp0.gauge(x0) ** s + (t * sp1.gauge(x - x0)) ** s
 
-            val = objective(warm)
-            if val < vals[i]:
-                vals[i], best[i] = val, warm
-            res = minimize(objective, warm, method="Nelder-Mead", options=options)
-            if res.fun < vals[i]:
-                vals[i], best[i] = res.fun, res.x
-        ks[i] = vals[i] ** (1.0 / s)  # a scalar power, as array powers round differently
-        warm = best[i]
+        splits = []
+        for start in cold + warm:
+            splits += [start, minimize(objective, start, method="Nelder-Mead", options=options).x]
+        splits = np.array(splits)
+        vals = sp0.gauge_many(splits) ** s + (t * sp1.gauge_many(x - splits)) ** s
+        best = int(np.argmin(vals))
+        ks[i] = vals[best] ** (1.0 / s)  # a scalar power, as array powers round differently
+        warm = [splits[best]]
     return ks
 
 
@@ -500,17 +413,16 @@ def k_functional(
     t: float,
     x,
     budget: int = 200,
-    warm_start=None,
     rng: RandomSource | None = None,
 ) -> KValue:
     """Splitting value of x at parameter t with exponent s.
 
     Exact on the routes listed in the module docstring (equal spaces at
     their triangle exponent, per-coordinate scales, quadratic pairs at
-    s = 2, weighted l1 against weighted lr pairs at s <= 1 or s = 2);
-    ``budget`` and ``warm_start`` then play no part.  Otherwise a budgeted
-    split search returns an upper estimate together with the analytic
-    lower bound from the pair's equivalence constants.
+    s = 1 and s = 2, weighted l1 against weighted lr pairs at s <= 1 or
+    s = 2); ``budget`` then plays no part.  Otherwise a budgeted split
+    search returns an upper estimate together with the analytic lower
+    bound from the pair's equivalence constants.
     """
     if not (t > 0):
         raise ValueError("t must be positive")
@@ -519,8 +431,6 @@ def k_functional(
     if not (s > 0) or s < pair.r_exponent:
         raise ValueError("need exponent s >= the pair's triangle exponent")
     v = as_vector(x, pair.dim)
-    if warm_start is not None:
-        warm_start = as_vector(warm_start, pair.dim)
     if not np.any(v):
         return KValue(0.0, 0.0, True)
     ts = np.array([t])
@@ -528,7 +438,7 @@ def k_functional(
     if exact is not None:
         val = float(exact[0])
         return KValue(val, val, True)
-    val = float(_search_k(pair, ts, v, s, budget, warm_start)[0])
+    val = float(_search_k(pair, ts, v, s, budget)[0])
     c, cap = pair.equivalence_constants(rng)
     r = pair.r_exponent
     scale = 2.0 ** (1.0 / s - 1.0 / r)
@@ -588,10 +498,9 @@ def theta_norm(pair: NormPair, params: ThetaParams, x) -> ThetaNormResult:
     nodes come from the exact route when one covers the pair (quadratic
     pairs, per-coordinate scales, and weighted l1 against weighted lr
     pairs, whose s = 2 route bisects along the box edges), else from the
-    two-stage split search: the cold starts of every node as one lockstep
-    Nelder-Mead batch, then a warm-start chain from node to node.
-    ``params.budget`` applies to the search only; ``exact`` says which
-    route ran."""
+    split search, node by node, each node also started from the best split
+    of the one before.  ``params.budget`` applies to the search only;
+    ``exact`` says which route ran."""
     v = as_vector(x, pair.dim)
     th = params.theta
     if not np.any(v):
@@ -600,7 +509,7 @@ def theta_norm(pair: NormPair, params: ThetaParams, x) -> ThetaNormResult:
     ks = _exact_k(pair, 2.0, ts, v)
     exact = ks is not None
     if not exact:
-        ks = _search_k(pair, ts, v, 2.0, params.budget, None)
+        ks = _search_k(pair, ts, v, 2.0, params.budget)
     u = np.log(ts)
     integrand = ks**2 * np.exp(-2.0 * th * u)
     core = float(_trapezoid(integrand, u))

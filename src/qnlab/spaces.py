@@ -9,9 +9,10 @@ representations:
 * :class:`Polytope`    -- convex hulls of symmetric vertex sets;
 * :class:`RConvexAtoms` -- r-convex hulls of small atom sets, 0 < r <= 1.
 
-Every space knows its gauge (Minkowski functional of the unit ball), the
-gauge of its convex envelope, and the dual gauge, i.e. the support function
-of the envelope ball.  Each kind evaluates its gauge in one batched kernel
+Every space knows its gauge (Minkowski functional of the unit ball) and
+the gauge of its convex envelope; weighted Lp spaces and polytopes also
+give their dual space, whose gauge is the support function of the
+envelope ball.  Each kind evaluates its gauge in one batched kernel
 over rows; the scalar gauge is that kernel on one row, and the envelope
 gauge is the gauge of the envelope space, built once per space.  The
 facts that exact routes elsewhere rest on are methods of the kind, ``None``
@@ -33,7 +34,7 @@ Exact facts used below and enforced by the test suite:
   of small subsets;
 * the convex envelope of a weighted Lp ball with p < 1 is the weighted
   crosspolytope spanned by the per-axis extreme points, so envelope and
-  dual gauges of those spaces have closed forms.
+  dual spaces of those spaces have closed forms.
 """
 
 from __future__ import annotations
@@ -68,7 +69,9 @@ _FEAS_TOL = 1e-9
 class QuasiNormedSpace:
     """Base interface.  A kind implements one gauge kernel, ``_gauge_rows``,
     on validated rows; the scalar, batched and envelope gauges derive from
-    it here, so all three agree bit for bit."""
+    it here.  ``gauge(x)`` equals ``gauge_many(x[None])[0]`` bit for bit;
+    a row inside a larger batch can differ from it in the last bits, since
+    matrix products sum in an order that depends on the batch size."""
 
     dim: int
 
@@ -94,9 +97,6 @@ class QuasiNormedSpace:
     def _envelope(self) -> "QuasiNormedSpace":
         return self.envelope_space()
 
-    def dual_gauge(self, f) -> float:
-        raise NotImplementedError
-
     def envelope_space(self) -> "QuasiNormedSpace":
         """The same ball convexified, as a space with r_exponent 1; a
         convex ball is its own envelope."""
@@ -115,7 +115,8 @@ class QuasiNormedSpace:
         )
 
     def dual_space(self) -> "QuasiNormedSpace":
-        """Space whose gauge is this space's dual gauge (exact)."""
+        """Space whose gauge is this space's dual gauge, the support
+        function of the envelope ball (exact)."""
         raise ValueError(f"{type(self).__name__} has no dual ball representation")
 
     @property
@@ -254,16 +255,6 @@ class WeightedLp(QuasiNormedSpace):
             return np.abs(pts) @ self.weights
         return (np.abs(pts) ** self.p @ self.weights) ** (1.0 / self.p)
 
-    def dual_gauge(self, f) -> float:
-        v = as_vector(f, dim=self.dim)
-        s = np.asarray(self.scales)
-        if self.p <= 1.0:
-            return float(np.max(np.abs(v) * s))
-        if math.isinf(self.p):
-            return float(np.abs(v) @ s)
-        q = self.p / (self.p - 1.0)
-        return float(((np.abs(v) * s) ** q).sum() ** (1.0 / q))
-
     def envelope_space(self) -> "WeightedLp":
         if self.p >= 1.0:
             return self
@@ -363,10 +354,6 @@ class Quadratic(QuasiNormedSpace):
     def _gauge_rows(self, pts: np.ndarray) -> np.ndarray:
         return np.sqrt(np.einsum("ij,jk,ik->i", pts, self.matrix, pts))
 
-    def dual_gauge(self, f) -> float:
-        v = as_vector(f, dim=self.dim)
-        return math.sqrt(float(v @ np.linalg.solve(self.matrix, v)))
-
     def coordinate_scales(self, s: float) -> np.ndarray | None:
         a = self.matrix
         if s == 2.0 and not np.any(a - np.diag(np.diag(a))):
@@ -403,13 +390,6 @@ class Schatten(QuasiNormedSpace):
         # the same singular values as one SVD per matrix; compute_uv=False is not
         s = np.linalg.svd(pts.reshape(-1, self.rows, self.cols), full_matrices=False)[1]
         return (s**self.p).sum(axis=1) ** (1.0 / self.p)
-
-    def dual_gauge(self, f) -> float:
-        s = singular_values(as_vector(f, dim=self.dim).reshape(self.rows, self.cols))
-        if self.p <= 1.0:
-            return float(s.max())
-        q = self.p / (self.p - 1.0)
-        return float((s**q).sum() ** (1.0 / q))
 
     def envelope_space(self) -> "Schatten":
         if self.p >= 1.0:
@@ -472,10 +452,6 @@ class Polytope(QuasiNormedSpace):
                 raise RuntimeError(f"gauge LP failed with status {res.status}")
             out[i] = float(res.fun) * scale
         return out
-
-    def dual_gauge(self, f) -> float:
-        v = as_vector(f, dim=self.dim)
-        return float(np.max(self.vertices @ v))
 
     def envelope_atoms(self) -> np.ndarray:
         return np.asarray(self.extreme_vertices)
@@ -597,10 +573,6 @@ class RConvexAtoms(QuasiNormedSpace):
         if np.any(np.isinf(best)):
             raise RuntimeError("no feasible decomposition found (atoms degenerate?)")
         return best
-
-    def dual_gauge(self, f) -> float:
-        v = as_vector(f, dim=self.dim)
-        return float(np.max(np.abs(np.asarray(self.atoms) @ v)))
 
     def envelope_space(self) -> "Polytope":
         return Polytope(self.envelope_atoms())

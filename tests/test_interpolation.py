@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from qnlab import interpolation
 from qnlab.numkernel import RandomSource
@@ -146,15 +146,6 @@ class TestSplitFunctional:
         with pytest.raises(ValueError):
             k_functional(concave, 0.25, 1.0, [1.0, 1.0])
 
-    def test_warm_start_is_validated(self):
-        sp = WeightedLp.unweighted(0.5, 3)
-        pair = NormPair.from_spaces(sp.envelope_space(), sp)
-        x = [1.0, -0.5, 0.25]
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            k_functional(pair, 1.0, 0.5, x, warm_start=[0.5, 0.5])
-        with pytest.raises(ValueError, match="non-finite"):
-            k_functional(pair, 1.0, 0.5, x, warm_start=[0.5, math.nan, 0.0])
-
     @given(scale_vectors(3), scale_vectors(3), st.floats(min_value=0.05, max_value=20.0))
     @settings(max_examples=40, deadline=None)
     def test_diagonal_quadratic_split_matches_per_coordinate_formula(self, w0, w1, t):
@@ -220,7 +211,7 @@ class TestLatticeRoute:
         s = r if s == "r" else s
         pair = _lattice_pair(r, w0, w1, flip)
         got = interpolation._exact_k(pair, s, ts, x)
-        searched = interpolation._search_k(pair, ts, x, s, 40, None)
+        searched = interpolation._search_k(pair, ts, x, s, 40)
         assert np.all(got <= searched * (1.0 + 1e-15))
 
     @given(lattice_cases(max_dim=3), st.sampled_from([1.0, 2.0]))
@@ -263,6 +254,76 @@ class TestLatticeRoute:
                 assert k_functional(pair, s, 1.0, x).exact == exact
             assert theta_norm(pair, params, x).exact == exact
             assert theta_norm(pair, params, np.zeros(d)).exact  # K = 0
+
+
+@st.composite
+def quadratic_cases(draw):
+    """A diagonal or general quadratic pair, a nonzero vector and a few
+    nodes t."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    if draw(st.booleans()):
+        pair = NormPair.diagonal(draw(scale_vectors(d)), draw(scale_vectors(d)))
+    else:
+        gen = RandomSource(draw(st.integers(min_value=0, max_value=2**32 - 1))).generator()
+        g0, g1 = gen.uniform(-1.0, 1.0, (2, d, d))
+        c0, c1 = draw(scales), draw(scales)
+        pair = NormPair(Quadratic(g0 @ g0.T + 0.1 * c0 * np.eye(d)), Quadratic(g1 @ g1.T + 0.1 * c1 * np.eye(d)))
+    coord = st.floats(min_value=-3.0, max_value=3.0)
+    x = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+    assume(np.abs(x).max() > 1e-3)
+    ts = np.array(draw(st.lists(st.floats(min_value=1e-4, max_value=1e4), min_size=1, max_size=3)))
+    return pair, x, ts
+
+
+def _dual_lower_k1(pair, t, x):
+    """A lower bound on K_1(t, x) from a feasible dual functional.
+
+    For lam in [0, 1], f = M^{-1} x with ``M = (1 - lam) A0^{-1} + lam
+    A1^{-1} / t^2`` maximizes <f, x> on the ellipsoid f' M f <= 1, which
+    contains the dual set; scaled into the dual set, f gives the bound
+    ``<f, x> / max(|f|_0*, |f|_1* / t)``.  lam comes from a bounded scalar
+    minimization of x' M^{-1} x, the endpoints included."""
+    i0, i1 = np.linalg.inv(pair.space0.matrix), np.linalg.inv(pair.space1.matrix) / t**2
+
+    def solve(lam):
+        return np.linalg.solve((1.0 - lam) * i0 + lam * i1, x)
+
+    lam = minimize_scalar(lambda u: x @ solve(u), bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12}).x
+    best = 0.0
+    for u in (0.0, lam, 1.0):
+        f = solve(u)
+        best = max(best, f @ x / max(math.sqrt(f @ i0 @ f), math.sqrt(f @ i1 @ f)))
+    return best
+
+
+class TestQuadraticS1Route:
+    """The exact route for quadratic pairs at s = 1 (duality over lam)."""
+
+    @given(quadratic_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_between_a_dual_bound_and_the_split_search(self, case):
+        pair, x, ts = case
+        got = interpolation._exact_k(pair, 1.0, ts, x)
+        lower = np.array([_dual_lower_k1(pair, t, x) for t in ts])
+        assert np.all(got >= lower * (1.0 - 1e-6))
+        searched = interpolation._search_k(pair, ts, x, 1.0, 40)
+        assert np.all(got <= searched * (1.0 + 1e-12))
+
+    @given(quadratic_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_labelled_exact(self, case):
+        pair, x, ts = case
+        for t in ts:
+            kv = k_functional(pair, 1.0, t, x)
+            assert kv.exact and kv.lower == kv.value
+
+    def test_trivial_splits_far_out(self):
+        pair = NormPair(Quadratic([[4.0, 1.0], [1.0, 3.0]]), Quadratic([[2.0, 0.0], [0.0, 5.0]]))
+        x = np.array([0.6, -1.1])
+        g0, g1 = pair.space0.gauge(x), pair.space1.gauge(x)
+        # far out on either side one of the trivial splits is optimal
+        got = interpolation._exact_k(pair, 1.0, np.array([1e-6, 1e6]), x)
+        np.testing.assert_allclose(got, [1e-6 * g1, g0], rtol=1e-14)
 
 
 class TestIntermediateGauge:
@@ -389,99 +450,12 @@ class TestDerivedChecks:
             equal_norms_type(WeightedLp.euclidean(2), 1.0, 0)
 
 
-def _assert_same_as_scipy(batch, x0, maxfev, xatol=1e-10, fatol=1e-14):
-    """The lockstep kernel equals scipy's Nelder-Mead bit for bit, simplex
-    by simplex, on the objective ``batch(points, rows)``."""
-    x, fun = interpolation._nelder_mead_many(batch, x0, maxfev, xatol, fatol)
-    options = {"maxfev": maxfev, "xatol": xatol, "fatol": fatol}
-    results = []
-    for m, row in enumerate(x0):
-        res = minimize(lambda p: batch(p[None, :], np.array([m]))[0], row, method="Nelder-Mead", options=options)
-        assert res.fun == fun[m], (m, maxfev)
-        assert np.array_equal(res.x, x[m]), (m, maxfev)
-        results.append(res)
-    return results
-
-
-def _rosenbrock(points, rows):
-    return np.sum(100.0 * (points[:, 1:] - points[:, :-1] ** 2) ** 2 + (1.0 - points[:, :-1]) ** 2, axis=1)
-
-
-def _bumpy(points, rows):
-    return np.sum(np.abs(points) ** 0.5 + np.cos(7.0 * points), axis=1)
-
-
-class TestLockstepNelderMead:
-    def test_lattice_split_objective(self):
-        sp = WeightedLp.unweighted(2.0 / 3.0, 3)
-        g0, g1 = sp.envelope_space(), sp
-        x = np.array([0.8, -1.3, 0.4])
-        starts = np.vstack([np.zeros(3), x, 0.5 * x, np.diag(x)])
-        ts = np.geomspace(1e-2, 1e2, 5)
-        x0 = np.tile(starts, (ts.size, 1))
-        t_rows = np.repeat(ts, starts.shape[0])
-
-        def batch(points, rows):
-            return g0.gauge_many(points) ** 2 + (t_rows[rows] * g1.gauge_many(x - points)) ** 2
-
-        for maxfev in (10, 20, 40):
-            _assert_same_as_scipy(batch, x0, maxfev)
-
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_rosenbrock(self, n):
-        x0 = RandomSource(5).generator().standard_normal((6, n))
-        x0[0, 0] = 0.0  # a zero coordinate takes the absolute start step
-        for maxfev in (n + 2, 17, 60, 300):
-            _assert_same_as_scipy(_rosenbrock, x0, maxfev)
-
-    def test_ties_on_a_terraced_objective(self):
-        # values on a coarse grid make the strict and non-strict comparisons
-        # of the reflection, expansion and contraction steps tie often
-        x0 = 2.0 * RandomSource(4).generator().standard_normal((40, 3))
-
-        def terraced(points, rows):
-            return np.floor(_rosenbrock(points, rows))
-
-        for maxfev in (10, 40, 80):
-            _assert_same_as_scipy(terraced, x0, maxfev)
-
-    def test_budget_below_simplex_size(self):
-        x0 = RandomSource(6).generator().standard_normal((4, 4))
-        for maxfev in range(1, 6):
-            for res in _assert_same_as_scipy(_rosenbrock, x0, maxfev):
-                assert res.nfev == maxfev
-
-    def test_budget_runs_out_inside_a_shrink(self):
-        x0 = np.array([[0.3, 1.0, 1.7], [-1.0, 0.5, 2.0]])
-        cut_shrinks = 0
-        for maxfev in range(210, 245):
-            counts = []
-
-            def batch(points, rows):
-                counts.append(np.bincount(rows, minlength=2))
-                return _bumpy(points, rows)
-
-            _assert_same_as_scipy(batch, x0, maxfev)
-            # after the start simplex only a shrink evaluates several points
-            # of one simplex; fewer than all 3 means the budget cut it short
-            cut_shrinks += sum(int(((c >= 2) & (c < 3)).any()) for c in counts[1:])
-        assert cut_shrinks > 0
-
-    def test_tolerance_stop(self):
-        x0 = RandomSource(7).generator().standard_normal((5, 3))
-
-        def quadratic(points, rows):
-            return np.sum((points - 0.3) ** 2 * [1.0, 2.0, 3.0], axis=1)
-
-        for res in _assert_same_as_scipy(quadratic, x0, 5000, xatol=1e-4, fatol=1e-4):
-            assert res.nfev < 5000 and res.success
-
-
-def _per_node_search(pair, ts, x, s, budget, warm_start):
+def _per_node_search(pair, ts, x, s, budget):
     """Reference split search: one scalar scipy Nelder-Mead per start, node
-    by node, each node warm-started from the previous node's best split."""
+    by node, each node after the first warm-started from the previous
+    node's best split."""
     ks = np.empty(len(ts))
-    warm = warm_start
+    warm = None
     for i, t in enumerate(ts):
 
         def objective(x0):
@@ -523,11 +497,11 @@ class TestBatchedSplitSearch:
         # no exact route covers the pair, so both runs below really search
         for s in (1.0, 2.0):
             assert interpolation._exact_k(pair, s, np.array([0.05, 1.0, 20.0]), x) is None
-        cases = [(s, t, warm) for s in (1.0, 2.0) for t in (0.05, 1.0, 20.0) for warm in (None, 0.3 * x)]
+        cases = [(s, t) for s in (1.0, 2.0) for t in (0.05, 1.0, 20.0)]
 
         def run():
             theta = theta_norm(pair, params, x).value
-            ks = [k_functional(pair, s, t, x, budget=budget, warm_start=w).value for s, t, w in cases]
+            ks = [k_functional(pair, s, t, x, budget=budget).value for s, t in cases]
             return np.array([theta, *ks])
 
         got = run()
