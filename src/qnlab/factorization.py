@@ -6,7 +6,9 @@ Quantities computed here come with explicit certification semantics:
 * ``op_norm`` is exact when a finite extreme-point description makes the
   supremum a finite maximum (atomic source against a compatible target,
   quadratic source against a finite-dual-atom or quadratic target), and a
-  certified lower bound from budgeted search otherwise;
+  certified lower bound from budgeted search otherwise; the factor and
+  residual norms below take the same exact routes, then the row bound
+  (a true upper bound), then an uncertified search value;
 * ``gamma2_upper`` reports the bracket [search lower bound on the operator
   norm, best factorization product found]; the product is a true upper
   bound exactly when both factor norms were evaluated exactly or as
@@ -58,53 +60,55 @@ def _search_op_norm(u: OperatorSpec, budget: int, rng: RandomSource | None) -> f
     return _best_ascent(objective, starts, max(budget, 60 * d))[0]
 
 
-def op_norm(
-    u: OperatorSpec,
-    method: str = "auto",
-    budget: int = 2000,
-    rng: RandomSource | None = None,
-) -> OpNormResult:
-    """Largest gauge amplification of the operator.
+def _exact_op_norm(u: OperatorSpec) -> float | None:
+    """The operator norm by an exact route, or None when none applies.
 
-    Exact routes: an atomic source whose hull exponent does not exceed the
-    target's triangle exponent (finite maximum over atoms); a quadratic
-    source against a quadratic target (largest singular value of the
-    rescaled matrix) or against a target with finitely many dual atoms
-    (Euclidean norms of pulled-back functionals).  Without an exact route,
-    budgeted search returns a certified lower bound.
+    A zero matrix has norm 0.  An atomic source whose hull exponent does
+    not exceed the target's triangle exponent gives a finite maximum over
+    its atoms; a quadratic source gives the largest singular value of the
+    rescaled matrix against a quadratic target, and the largest Euclidean
+    norm of the pulled-back functionals against a target with finitely
+    many dual atoms.
     """
-    if method not in ("auto", "exact", "search"):
-        raise ValueError("method must be auto, exact, or search")
     m = np.asarray(u.matrix)
     if not np.any(m):
-        return OpNormResult(0.0, "exact")
-    if method != "search":
-        atoms = u.source.ball_atoms()
-        if atoms is not None and atoms[1] <= u.target.r_exponent + 1e-15:
-            values = u.target.gauge_many(atoms[0] @ m.T)
-            return OpNormResult(float(values.max()), "exact")
-        qs = u.source.quadratic_form
-        if qs is not None:
-            inv_half = spd_power(qs, -0.5)
-            qt = u.target.quadratic_form
-            if qt is not None:
-                half_t = spd_power(qt, 0.5)
-                return OpNormResult(float(singular_values(half_t @ m @ inv_half)[0]), "exact")
-            dual = u.target.dual_atoms()
-            if dual is not None:
-                pulled = dual @ m @ inv_half
-                return OpNormResult(float(np.sqrt((pulled**2).sum(axis=1)).max()), "exact")
-        if method == "exact":
-            raise ValueError("no exact route for this source/target combination")
+        return 0.0
+    atoms = u.source.ball_atoms()
+    if atoms is not None and atoms[1] <= u.target.r_exponent + 1e-15:
+        return float(u.target.gauge_many(atoms[0] @ m.T).max())
+    qs = u.source.quadratic_form
+    if qs is None:
+        return None
+    inv_half = spd_power(qs, -0.5)
+    qt = u.target.quadratic_form
+    if qt is not None:
+        return float(singular_values(spd_power(qt, 0.5) @ m @ inv_half)[0])
+    dual = u.target.dual_atoms()
+    if dual is None:
+        return None
+    pulled = dual @ m @ inv_half
+    return float(np.sqrt((pulled**2).sum(axis=1)).max())
+
+
+def op_norm(u: OperatorSpec, budget: int = 2000, rng: RandomSource | None = None) -> OpNormResult:
+    """Largest gauge amplification of the operator: exact (kind ``exact``)
+    on the routes of ``_exact_op_norm``, else a certified lower bound (kind
+    ``lower-bound``) from coordinate ascent, ``budget`` evaluations per
+    start, from the axes, the ones vector and seeded Gaussian starts."""
+    exact = _exact_op_norm(u)
+    if exact is not None:
+        return OpNormResult(exact, "exact")
     if budget <= 0:
-        raise ValueError("search mode needs a positive budget")
+        raise ValueError("the search needs a positive budget")
     return OpNormResult(_search_op_norm(u, budget, rng), "lower-bound")
 
 
-def _op_norm_upper(
-    matrix: np.ndarray, source: QuasiNormedSpace, target: QuasiNormedSpace
-) -> tuple[float, str] | None:
-    """A true upper bound on the operator norm, or None if unavailable.
+def _norm_bound(
+    matrix: np.ndarray, source: QuasiNormedSpace, target: QuasiNormedSpace, rng: RandomSource | None
+) -> tuple[float, bool]:
+    """The operator norm when an exact route gives it, else a true upper
+    bound when one is available, else a 500-evaluation search value; with
+    whether the value bounds the norm from above (``certified``).
 
     Beyond the exact routes, a quadratic source against an unconditional
     target admits the row bound: the target gauge of the vector of
@@ -112,20 +116,14 @@ def _op_norm_upper(
     its row's length.
     """
     u = OperatorSpec(matrix, source, target)
-    m = np.asarray(matrix)
-    if not np.any(m):
-        return 0.0, "exact"
-    try:
-        res = op_norm(u, method="exact")
-        return res.value, "exact"
-    except ValueError:
-        pass
+    exact = _exact_op_norm(u)
+    if exact is not None:
+        return exact, True
     qs = source.quadratic_form
     if qs is not None and target.is_unconditional:
-        rows = m @ spd_power(qs, -0.5)
-        lengths = np.sqrt((rows**2).sum(axis=1))
-        return target.gauge(lengths), "upper-bound"
-    return None
+        rows = np.asarray(matrix) @ spd_power(qs, -0.5)
+        return target.gauge(np.sqrt((rows**2).sum(axis=1))), True
+    return _search_op_norm(u, 500, rng), False
 
 
 @dataclass(frozen=True)
@@ -157,22 +155,11 @@ class Gamma2Result:
 
 def _factor_norms(
     w: np.ndarray, v: np.ndarray, source: QuasiNormedSpace, target: QuasiNormedSpace,
-    budget: int, rng: RandomSource | None,
+    rng: RandomSource | None,
 ) -> tuple[float, float, bool]:
-    k = w.shape[0]
-    middle = WeightedLp.euclidean(k)
-    res_w = _op_norm_upper(w, source, middle)
-    if res_w is None:
-        nw = op_norm(OperatorSpec(w, source, middle), "search", max(budget, 500), rng).value
-        w_ok = False
-    else:
-        nw, w_ok = res_w[0], True
-    res_v = _op_norm_upper(v, middle, target)
-    if res_v is None:
-        nv = op_norm(OperatorSpec(v, middle, target), "search", max(budget, 500), rng).value
-        v_ok = False
-    else:
-        nv, v_ok = res_v[0], True
+    middle = WeightedLp.euclidean(w.shape[0])
+    nw, w_ok = _norm_bound(w, source, middle, rng)
+    nv, v_ok = _norm_bound(v, middle, target, rng)
     return nw, nv, w_ok and v_ok
 
 
@@ -203,7 +190,7 @@ def gamma2_upper(
         return Gamma2Result(0.0, 0.0, witness, True)
     if rng is None:
         rng = RandomSource(0, (53,))
-    lower = op_norm(u, "auto", 2000, rng.split(0)).value
+    lower = op_norm(u, rng=rng.split(0)).value
 
     s, u_left, vt = svd(m)
     roots = np.sqrt(s[:rank])
@@ -221,7 +208,7 @@ def gamma2_upper(
 
     best = None
     for w, v in candidates:
-        nw, nv, ok = _factor_norms(w, v, u.source, u.target, 500, rng.split(1))
+        nw, nv, ok = _factor_norms(w, v, u.source, u.target, rng.split(1))
         if best is None or nw * nv < best[0]:
             best = (nw * nv, w, v, nw, nv, ok)
     scale = 0.25
@@ -233,7 +220,7 @@ def gamma2_upper(
         except np.linalg.LinAlgError:
             continue
         w, v = t @ wb, vb @ t_inv
-        nw, nv, ok = _factor_norms(w, v, u.source, u.target, 500, rng.split(3, i))
+        nw, nv, ok = _factor_norms(w, v, u.source, u.target, rng.split(3, i))
         if nw * nv < best[0]:
             best = (nw * nv, w, v, nw, nv, ok)
         else:
@@ -324,8 +311,8 @@ def delta_upper(u: OperatorSpec, budget: int = 2000, rng: RandomSource | None = 
     plain operator norm.
     """
     env = u.source.envelope_space()
-    upper_res = op_norm(OperatorSpec(u.matrix, env, u.target), "auto", budget, rng)
-    lower = op_norm(u, "auto", budget, rng.split(1) if rng else None).value
+    upper_res = op_norm(OperatorSpec(u.matrix, env, u.target), budget, rng)
+    lower = op_norm(u, budget, rng.split(1) if rng else None).value
     return DeltaResult(upper_res.value, lower, upper_res.kind)
 
 
@@ -374,8 +361,11 @@ def approx_numbers(
     """k-th approximation number: distance to operators of rank below k.
 
     Exact (a singular value of the rescaled matrix) for quadratic source
-    and target; otherwise an upper bound from truncated-SVD initialization
-    refined by perturbing the low-rank factors.
+    and target.  Otherwise the smallest residual norm found from a
+    truncated-SVD initialization refined by perturbing the low-rank
+    factors: kind ``upper-bound`` when every residual norm it kept came
+    from an exact route or the row bound, and ``search`` when one was a
+    searched lower estimate of that residual's norm.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -396,25 +386,13 @@ def approx_numbers(
         return ApproxNumber(float(singular_values(spd_power(qt, 0.5) @ m)[k - 1]), "exact")
 
     middle = WeightedLp.euclidean(u.source.dim)
-
-    def residual_norm(approx: np.ndarray) -> tuple[float, bool]:
-        res = _op_norm_upper(m - approx, middle, u.target)
-        if res is not None:
-            return res[0], True
-        val = op_norm(
-            OperatorSpec(m - approx, middle, u.target), "search", 500,
-            rng.split(9) if rng else None,
-        ).value
-        return val, False
-
     s, u_left, vt = svd(m)
     r = k - 1
-    if r == 0:
-        value, ok = residual_norm(np.zeros_like(m))
-        return ApproxNumber(value, "upper-bound" if ok else "search")
     a = u_left[:, :r] * s[:r][None, :]
     b = vt[:r]
-    best, ok = residual_norm(a @ b)
+    best, ok = _norm_bound(m - a @ b, middle, u.target, rng.split(9) if rng else None)
+    if r == 0:
+        return ApproxNumber(best, "upper-bound" if ok else "search")
     if rng is None:
         rng = RandomSource(0, (67,))
     scale = 0.3 * s[0]
@@ -422,7 +400,7 @@ def approx_numbers(
         gen = rng.split(11, i).generator()
         a2 = a + scale * gen.standard_normal(a.shape)
         b2 = b + scale * gen.standard_normal(b.shape)
-        val, ok2 = residual_norm(a2 @ b2)
+        val, ok2 = _norm_bound(m - a2 @ b2, middle, u.target, rng.split(9))
         if val < best:
             best, a, b, ok = val, a2, b2, ok and ok2
         else:
@@ -446,8 +424,9 @@ def weak_cotype2_profile(
     """Empirical profile max over k of a_k sqrt(k) / (Gaussian mean), for
     random Gaussian operators from Euclidean n-space into the space.
 
-    Observational: a_k values for non-quadratic targets are upper bounds,
-    so the profile is an estimate, recorded with per-record certification.
+    Observational: a_k values for non-quadratic targets are upper bounds
+    (or searched estimates, ``a_kind`` ``search``), so the profile is an
+    estimate, recorded with per-record certification.
     """
     if rng is None:
         raise ValueError("needs a RandomSource")

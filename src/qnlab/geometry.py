@@ -41,14 +41,17 @@ from .numkernel import (
 )
 from .spaces import (
     Polytope,
+    Quadratic,
     QuasiNormedSpace,
     RConvexAtoms,
     WeightedLp,
     coordinate_section,
-    unit_ball_volume,
+    unit_ball_volume,  # re-exported: geometry is its public home
 )
 
 _MC_MIN_SAMPLES = 10_000
+_MVEE_TOLERANCE = 1e-7  # relative stopping slack of the enclosing-ellipsoid iteration
+_MVEE_MAX_ITER = 200_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,20 +63,12 @@ class Ellipsoid:
     def __post_init__(self):
         object.__setattr__(self, "shape", frozen_array(as_spd(self.shape)))
 
-    @classmethod
-    def ball(cls, dim: int, radius: float = 1.0) -> "Ellipsoid":
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        return cls(np.eye(dim) / radius**2)
-
     @property
     def dim(self) -> int:
         return int(self.shape.shape[0])
 
     def volume(self) -> float:
-        sign, logdet = np.linalg.slogdet(self.shape)
-        assert sign > 0
-        return float(unit_ball_volume(self.dim) * math.exp(-0.5 * logdet))
+        return Quadratic(self.shape).exact_volume()[0]
 
     def polar(self) -> "Ellipsoid":
         return Ellipsoid(spd_power(self.shape, -1.0))
@@ -86,8 +81,9 @@ class Ellipsoid:
         """Distance to the boundary along each (nonzero) direction row."""
         return 1.0 / np.sqrt(self.quadratic_form(directions))
 
-    def contains(self, points, tol: float = 1e-9) -> bool:
-        return bool(np.all(self.quadratic_form(points) <= 1.0 + tol))
+    def contains(self, points) -> bool:
+        """Whether every point row satisfies x' shape x <= 1 + 1e-9."""
+        return bool(np.all(self.quadratic_form(points) <= 1.0 + 1e-9))
 
     def sample_interior(self, rng: RandomSource, n: int) -> np.ndarray:
         """n points uniform in the ellipsoid (pure in (rng, n))."""
@@ -99,33 +95,33 @@ class Ellipsoid:
         return (x * radii[:, None]) @ spd_power(self.shape, -0.5)
 
 
-def mvee(points, tolerance: float = 1e-7, max_iter: int = 200_000) -> Ellipsoid:
+def mvee(points) -> Ellipsoid:
     """Minimum-volume centered ellipsoid enclosing a symmetric point set.
 
     Khachiyan-style multiplicative weight updates on the dual problem
     ``max log det sum_i u_i x_i x_i'`` with away/drop steps for the
     support weights, stopped once every point satisfies
-    ``x' Q x <= (1 + tolerance) * dim`` in the unnormalized form; the
-    result is then rescaled so the largest quadratic form value is exactly
-    1, which makes it enclosing regardless of the stopping point.  The
-    volume is optimal within a factor ``(1 + tolerance) ** (dim / 2)``.
+    ``x' Q x <= (1 + _MVEE_TOLERANCE) * dim`` (``_MVEE_TOLERANCE`` = 1e-7)
+    in the unnormalized form; the result is then rescaled so the largest
+    quadratic form value is exactly 1, which makes it enclosing regardless
+    of the stopping point.  The volume is optimal within a factor
+    ``(1 + _MVEE_TOLERANCE) ** (dim / 2)``.  Raises ``RuntimeError`` if
+    ``_MVEE_MAX_ITER`` updates do not reach the stopping rule.
     """
     X = as_matrix(points)
     m, d = X.shape
-    if not (0 < tolerance <= 1e-2):
-        raise ValueError("tolerance must lie in (0, 1e-2]")
     scale = float(np.abs(X).max())
     if scale <= 0 or np.linalg.matrix_rank(X, tol=1e-10 * scale) < d:
         raise DegenerateMatrixError("point set does not span the space")
     require_symmetric_rows(X, 1e-9, "point set")
 
     u = np.full(m, 1.0 / m)
-    for _ in range(max_iter):
+    for _ in range(_MVEE_MAX_ITER):
         M = X.T @ (u[:, None] * X)
         kappa = np.einsum("ij,jk,ik->i", X, np.linalg.inv(M), X)
         jp = int(np.argmax(kappa))
         kp = kappa[jp]
-        if kp <= d * (1.0 + tolerance):
+        if kp <= d * (1.0 + _MVEE_TOLERANCE):
             break
         support = u > 0.0
         jn = int(np.where(support)[0][np.argmin(kappa[support])])
@@ -155,7 +151,7 @@ def mvee(points, tolerance: float = 1e-7, max_iter: int = 200_000) -> Ellipsoid:
     return Ellipsoid(Q / worst)
 
 
-def mvee_of_ball(space: QuasiNormedSpace, tolerance: float = 1e-7) -> Ellipsoid:
+def mvee_of_ball(space: QuasiNormedSpace) -> Ellipsoid:
     """Minimum-volume ellipsoid enclosing a concrete unit ball.
 
     The kind's closed form (``enclosing_form``: weighted Lp with p > 1, a
@@ -171,7 +167,7 @@ def mvee_of_ball(space: QuasiNormedSpace, tolerance: float = 1e-7) -> Ellipsoid:
     if gens is None:
         raise ValueError(f"no enclosing ellipsoid path for {type(space).__name__}")
     g = gens[0]
-    return mvee(dedup_rows(np.vstack([g, -g])), tolerance)
+    return mvee(dedup_rows(np.vstack([g, -g])))
 
 
 @dataclass(frozen=True)
@@ -180,7 +176,7 @@ class InscribedResult:
     maximal: bool  # False when the ball surrogate was used
 
 
-def inscribed_ellipsoid(space: QuasiNormedSpace, tolerance: float = 1e-7) -> InscribedResult:
+def inscribed_ellipsoid(space: QuasiNormedSpace) -> InscribedResult:
     """Largest inscribed ellipsoid of a convex ball, or a certified
     inscribed ball for unweighted non-convex Lp.
 
@@ -201,7 +197,7 @@ def inscribed_ellipsoid(space: QuasiNormedSpace, tolerance: float = 1e-7) -> Ins
     dual = space.dual_atoms() if space.r_exponent == 1.0 else None
     if dual is None:
         raise NotImplementedError(f"no inscribed ellipsoid path for {type(space).__name__}")
-    return InscribedResult(mvee(dual, tolerance).polar(), True)
+    return InscribedResult(mvee(dual).polar(), True)
 
 
 @dataclass(frozen=True)
@@ -282,13 +278,10 @@ class RatioEstimate:
 
 
 def vr_star(
-    space: QuasiNormedSpace,
-    rng: RandomSource | None = None,
-    samples: int = 100_000,
-    tolerance: float = 1e-7,
+    space: QuasiNormedSpace, rng: RandomSource | None = None, samples: int = 100_000
 ) -> RatioEstimate:
     """Outer volume ratio: (vol enclosing ellipsoid / vol ball) ** (1/dim)."""
-    outer = mvee_of_ball(space, tolerance)
+    outer = mvee_of_ball(space)
     vb = volume(space, "auto", rng, samples)
     d = space.dim
     value = (outer.volume() / vb.value) ** (1.0 / d)
@@ -297,10 +290,7 @@ def vr_star(
 
 
 def vr(
-    space: QuasiNormedSpace,
-    rng: RandomSource | None = None,
-    samples: int = 100_000,
-    tolerance: float = 1e-7,
+    space: QuasiNormedSpace, rng: RandomSource | None = None, samples: int = 100_000
 ) -> RatioEstimate:
     """Inner volume ratio: (vol ball / vol inscribed ellipsoid) ** (1/dim).
 
@@ -309,7 +299,7 @@ def vr(
     for the maximal one and the returned ratio is flagged via
     ``surrogate_inscribed``.
     """
-    inner = inscribed_ellipsoid(space, tolerance)
+    inner = inscribed_ellipsoid(space)
     vb = volume(space, "auto", rng, samples)
     d = space.dim
     value = (vb.value / inner.ellipsoid.volume()) ** (1.0 / d)
@@ -326,10 +316,7 @@ class SantaloResult:
 
 
 def santalo_check(
-    space: QuasiNormedSpace,
-    rng: RandomSource | None = None,
-    samples: int = 100_000,
-    tolerance: float = 1e-7,
+    space: QuasiNormedSpace, rng: RandomSource | None = None, samples: int = 100_000
 ) -> SantaloResult:
     """Polar volume comparison: outer ratio of X at least inner ratio of X*.
 
@@ -347,7 +334,7 @@ def santalo_check(
         raise ValueError("polar comparison needs a convex ball")
     dual = space.dual_space()
     d = space.dim
-    outer_ell = mvee_of_ball(space, tolerance)
+    outer_ell = mvee_of_ball(space)
     vb = volume(space, "auto", rng.split(0) if rng else None, samples)
     vd = volume(dual, "auto", rng.split(1) if rng else None, samples)
     outer_value = (outer_ell.volume() / vb.value) ** (1.0 / d)
@@ -368,9 +355,7 @@ class SplitVolumeResult:
     passed: bool
 
 
-def section_projection_volume_check(
-    space: WeightedLp, subset, slack: float = 1e-9
-) -> SplitVolumeResult:
+def section_projection_volume_check(space: WeightedLp, subset) -> SplitVolumeResult:
     """Coordinate split inequality for Lp balls with 1/p a small integer.
 
     For a weighted Lp ball B with p = 1/beta (beta in {1, 2, 3}) and a
@@ -381,7 +366,8 @@ def section_projection_volume_check(
         vol_k(B & S) * vol_{N-k}(proj B) / vol_N(B) <= binom(N beta, k beta)
 
     with equality in the unweighted case.  All three volumes are closed
-    form here, so the check is exact up to float arithmetic.
+    form here, so the check is exact up to float arithmetic: it passes
+    within a relative slack of 1e-9.
     """
     if not isinstance(space, WeightedLp):
         raise ValueError("split volume check needs a WeightedLp space")
@@ -399,7 +385,7 @@ def section_projection_volume_check(
     vol_full = space.exact_volume()[0]
     ratio = vol_section * vol_projection / vol_full
     bound = math.comb(n * beta, k * beta)
-    return SplitVolumeResult(ratio, bound, idx, ratio <= bound * (1.0 + slack))
+    return SplitVolumeResult(ratio, bound, idx, ratio <= bound * (1.0 + 1e-9))
 
 
 def rhull_volume_defect(
@@ -413,21 +399,21 @@ def rhull_volume_defect(
     Returns ``(vol B / vol co_r(extreme points)) ** (1/dim)``.  For r = 1
     the r-hull is the polytope itself and the defect is exactly 1; for
     r < 1 the hull volume is estimated by rejection sampling against the
-    exact atom gauge.
+    exact atom gauge.  The polytope's volume must be exact (fan
+    triangulation, dim <= 5); other dimensions raise ``ValueError``.
     """
     if not isinstance(space, Polytope):
         raise ValueError("rhull_volume_defect needs a Polytope")
-    if space.dim > 3:
-        raise ValueError("exact polytope volume capped at dim 3")
     if not (0 < r <= 1):
         raise ValueError("r must lie in (0, 1]")
+    exact = space.exact_volume()
+    if exact is None:
+        raise ValueError(f"no exact polytope volume in dim {space.dim}")
     if r == 1.0:
         return RatioEstimate(1.0, 0.0)
-    atoms = np.asarray(space.extreme_vertices)
-    hull_space = RConvexAtoms(atoms, r)
-    vol_b = space.exact_volume()[0]
+    hull_space = RConvexAtoms(np.asarray(space.extreme_vertices), r)
     vol_r = _mc_volume(hull_space, rng, samples)
     d = space.dim
-    value = (vol_b / vol_r.value) ** (1.0 / d)
+    value = (exact[0] / vol_r.value) ** (1.0 / d)
     stderr = value * vol_r.stderr / (d * vol_r.value)
     return RatioEstimate(value, stderr)

@@ -61,6 +61,11 @@ from .spaces import OperatorSpec, QuasiNormedSpace, Quadratic, WeightedLp
 from .randsigns import ConstantEstimate, _search_tuples, rademacher_average
 
 
+_RATIO_DIRECTIONS = 1000  # sampled directions of the equivalence constants
+_OPERATOR_DIRECTIONS = 24  # unit vectors of the interpolated operator check
+_SUM_RULE_TOLERANCE = 0.02  # relative gap allowed by the quadratic sum rule
+
+
 @dataclass(frozen=True, eq=False)
 class NormPair:
     """Two spaces on the same coordinate space, ready for splitting."""
@@ -115,9 +120,7 @@ class NormPair:
         back = vecs.T @ a0
         return np.maximum(mu, 0.0), back
 
-    def equivalence_constants(
-        self, rng: RandomSource | None = None, directions: int = 1000
-    ) -> tuple[float, float]:
+    def equivalence_constants(self, rng: RandomSource | None = None) -> tuple[float, float]:
         """(c, C) with c <= g1(x)/g0(x) <= C.
 
         Two weighted Lp spaces get the true extremes in closed form.  With
@@ -126,15 +129,15 @@ class NormPair:
         is max a_i when q >= p and ||a||_rho with 1/rho = 1/q - 1/p (Holder)
         when q < p; the infimum is the reciprocal of the same formula with
         the roles swapped.  Other pairs get the extremes witnessed on
-        ``directions`` sampled directions, axis directions and the all-ones
-        vector always included, so exact whenever the ratio extremes sit
-        on axes (every diagonal pair).
+        ``_RATIO_DIRECTIONS`` (1000) sampled directions, axis directions and
+        the all-ones vector always included, so exact whenever the ratio
+        extremes sit on axes (every diagonal pair).
         """
         sp0, sp1 = self.space0, self.space1
         if isinstance(sp0, WeightedLp) and isinstance(sp1, WeightedLp):
             a = np.asarray(sp0.scales) / np.asarray(sp1.scales)
             return 1.0 / _lp_ratio_sup(1.0 / a, sp1.p, sp0.p), _lp_ratio_sup(a, sp0.p, sp1.p)
-        key = (directions, None if rng is None else (rng.seed, rng.path))
+        key = None if rng is None else (rng.seed, rng.path)
         cache = self.__dict__.setdefault("_ratio_cache", {})
         if key in cache:
             return cache[key]
@@ -142,7 +145,7 @@ class NormPair:
             rng = RandomSource(0, (97,))
         d = self.dim
         det = np.vstack([np.eye(d), np.ones((1, d))])
-        extra = rng.generator().standard_normal((max(directions - det.shape[0], 0), d))
+        extra = rng.generator().standard_normal((max(_RATIO_DIRECTIONS - det.shape[0], 0), d))
         pts = np.vstack([det, extra]) if extra.size else det
         g0 = self.space0.gauge_many(pts)
         g1 = self.space1.gauge_many(pts)
@@ -458,10 +461,9 @@ def theta_norm_constant(theta: float) -> float:
 
 @dataclass(frozen=True)
 class ThetaParams:
-    """Quadrature layout for the intermediate gauge."""
+    """Quadrature layout for the intermediate gauge (from s = 2 splits)."""
 
     theta: float
-    s: float = 2.0
     t_min: float = 1e-6
     t_max: float = 1e6
     nodes: int = 400
@@ -470,8 +472,6 @@ class ThetaParams:
     def __post_init__(self):
         if not (0 < self.theta < 1):
             raise ValueError("theta must lie in (0, 1)")
-        if self.s != 2.0:
-            raise ValueError("the intermediate gauge is defined from the s = 2 functional")
         if not (self.t_min <= 1e-4 and self.t_max >= 1e4):
             raise ValueError("the grid must cover at least [1e-4, 1e4]")
         if self.nodes < 50:
@@ -564,24 +564,24 @@ def interp_operator_bound_check(
     source: NormPair,
     target: NormPair,
     theta: float,
-    params: ThetaParams | None = None,
     rng: RandomSource | None = None,
-    directions: int = 24,
     tolerance: float = 0.02,
 ) -> OperatorInterpolationResult:
     """Verify that the intermediate-gauge norm of the operator is bounded
-    by the geometric mean of its endpoint norms, on sampled unit vectors.
+    by the geometric mean of its endpoint norms, on the axes and sampled
+    directions (``_OPERATOR_DIRECTIONS`` vectors in all), with the default
+    ``ThetaParams(theta)`` quadrature.
 
-    The left side is a lower estimate of the true intermediate operator
-    norm while the right side uses exact endpoint norms whenever an exact
-    evaluation route exists, so a failure can only come from a broken
-    estimator or a false bound.
+    The left side, the largest ratio found, is a lower estimate of the
+    true intermediate operator norm.  When ``endpoint_kind`` is ``exact``
+    the right side is the true bound, so a failure can only come from a
+    broken estimator or a false bound.  When it is ``lower-bound`` the
+    right side is a product of search lower bounds on the endpoint norms
+    and may sit below the true bound, so a failure can also come from a
+    search that stopped short.
     """
     m = as_matrix(matrix, rows=target.dim, cols=source.dim)
-    if params is None:
-        params = ThetaParams(theta)
-    if params.theta != theta:
-        raise ValueError("params.theta must match theta")
+    params = ThetaParams(theta)
     if rng is None:
         rng = RandomSource(0, (47,))
     end0 = op_norm(OperatorSpec(m, source.space0, target.space0), rng=rng.split(0))
@@ -589,7 +589,8 @@ def interp_operator_bound_check(
     n0, n1 = end0.value, end1.value
     rhs = n0 ** (1.0 - theta) * n1**theta
     d = source.dim
-    pts = np.vstack([np.eye(d), rng.split(2).generator().standard_normal((max(directions - d, 0), d))])
+    extra = max(_OPERATOR_DIRECTIONS - d, 0)
+    pts = np.vstack([np.eye(d), rng.split(2).generator().standard_normal((extra, d))])
     lhs = 0.0
     for p in pts:
         denom = theta_norm(source, params, p).value
@@ -609,25 +610,20 @@ class SumRuleResult:
     passed: bool
 
 
-def ell2_sum_theta_check(
-    weights0, weights1, x, theta: float, params: ThetaParams | None = None, tolerance: float = 0.02
-) -> SumRuleResult:
+def ell2_sum_theta_check(weights0, weights1, x, theta: float) -> SumRuleResult:
     """The intermediate gauge of a quadratic-sum pair equals the quadratic
-    sum of the coordinate-wise intermediate gauges; compare the quadrature
-    value against that closed form."""
+    sum of the coordinate-wise intermediate gauges; compare the
+    ``ThetaParams(theta)`` quadrature value against that closed form,
+    within a relative gap of ``_SUM_RULE_TOLERANCE`` (2%)."""
     w0 = as_vector(weights0)
     w1 = as_vector(weights1, w0.shape[0])
     if w0.shape[0] > 4:
         raise ValueError("the sum rule check is sized for at most 4 coordinates")
-    if params is None:
-        params = ThetaParams(theta)
-    if params.theta != theta:
-        raise ValueError("params.theta must match theta")
     pair = NormPair.diagonal(w0, w1)
-    computed = theta_norm(pair, params, x).value
+    computed = theta_norm(pair, ThetaParams(theta), x).value
     closed = diagonal_theta_norm(w0, w1, x, theta)
     gap = abs(computed - closed) / closed if closed > 0 else 0.0
-    return SumRuleResult(computed, closed, gap, gap <= tolerance)
+    return SumRuleResult(computed, closed, gap, gap <= _SUM_RULE_TOLERANCE)
 
 
 def equal_norms_type(

@@ -98,12 +98,12 @@ def as_spd(a) -> np.ndarray:
     return m
 
 
-def dedup_rows(rows: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Drop duplicate rows (within tol, scale-aware), keeping first seen."""
+def dedup_rows(rows: np.ndarray) -> np.ndarray:
+    """Drop duplicate rows (within 1e-9, scale-aware), keeping first seen."""
     scale = max(1.0, float(np.abs(rows).max()) if rows.size else 1.0)
     keep: list[int] = []
     for i, r in enumerate(rows):
-        if not keep or not np.any(np.abs(rows[keep] - r).max(axis=1) <= tol * scale):
+        if not keep or not np.any(np.abs(rows[keep] - r).max(axis=1) <= 1e-9 * scale):
             keep.append(i)
     return rows[keep].reshape(len(keep), rows.shape[1])
 

@@ -103,20 +103,12 @@ def rademacher_average(
     return RademacherAverage(value, stderr, "sampled", samples)
 
 
-def khintchine_ratio(
-    space: QuasiNormedSpace,
-    vectors,
-    q: float,
-    s: float,
-    mode: str = "exact",
-    rng: RandomSource | None = None,
-    samples: int = 10_000,
-) -> float:
-    """Ratio of the q-average to the s-average of the same sign sums."""
+def khintchine_ratio(space: QuasiNormedSpace, vectors, q: float, s: float) -> float:
+    """Ratio of the exact q-average to the exact s-average of the same sign sums."""
     if not (q > s > 0):
         raise ValueError("need q > s > 0")
-    hi = rademacher_average(space, vectors, q, mode, rng, samples)
-    lo = rademacher_average(space, vectors, s, mode, rng.split(1) if rng else None, samples)
+    hi = rademacher_average(space, vectors, q)
+    lo = rademacher_average(space, vectors, s)
     if lo.value == 0.0:
         raise ValueError("zero vectors give an undefined ratio")
     return hi.value / lo.value

@@ -19,7 +19,7 @@ from qnlab.factorization import (
     op_norm,
     weak_cotype2_profile,
 )
-from qnlab.spaces import OperatorSpec, Polytope, Quadratic, WeightedLp
+from qnlab.spaces import OperatorSpec, Polytope, Quadratic, Schatten, WeightedLp
 
 EUCLID2 = WeightedLp.euclidean(2)
 EUCLID3 = WeightedLp.euclidean(3)
@@ -69,13 +69,6 @@ class TestOpNorm:
         assert res.value == 0.0
         assert res.kind == "exact"
 
-    def test_exact_method_unavailable_raises(self):
-        with pytest.raises(ValueError, match="exact"):
-            op_norm(
-                OperatorSpec(np.eye(2), EUCLID2, WeightedLp.unweighted(0.5, 2)),
-                method="exact",
-            )
-
     def test_scaling_homogeneity(self):
         gen = RandomSource(13).generator()
         m = gen.standard_normal((2, 2))
@@ -104,6 +97,15 @@ class TestQuadraticFactorization:
         res = gamma2_upper(OperatorSpec(m, EUCLID3, WeightedLp.unweighted(1.0, 3)), rng=RandomSource(4))
         assert np.allclose(res.witness.v @ res.witness.w, m, atol=1e-9)
         assert res.lower <= res.upper * (1 + 1e-12)
+
+    def test_searched_factor_norm_is_uncertified(self):
+        # an l3 source has neither an exact route nor the row bound into the
+        # round middle space, so the first factor's norm is searched
+        m = RandomSource(18).generator().standard_normal((3, 3))
+        u = OperatorSpec(m, WeightedLp.unweighted(3.0, 3), WeightedLp.unweighted(1.0, 3))
+        res = gamma2_upper(u, budget=2, rng=RandomSource(19))
+        assert not res.certified
+        assert res.upper >= res.lower > 0
 
     def test_inner_dim_cap_validation(self):
         with pytest.raises(ValueError):
@@ -209,6 +211,25 @@ class TestApproxNumbers:
         u = OperatorSpec(m, EUCLID3, WeightedLp.unweighted(1.0, 3))
         vals = [approx_numbers(u, k, budget=12, rng=RandomSource(15, (k,))).value for k in (1, 2, 3)]
         assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
+
+    def test_row_bound_into_unconditional_target(self):
+        # l1.5 has no exact route from a round source but is unconditional,
+        # so every residual norm is a row bound and the value bounds a_k
+        m = RandomSource(20).generator().standard_normal((4, 4))
+        u = OperatorSpec(m, WeightedLp.euclidean(4), WeightedLp.unweighted(1.5, 4))
+        first = approx_numbers(u, 1, rng=RandomSource(21))
+        assert first.kind == "upper-bound"
+        assert first.value >= op_norm(u, rng=RandomSource(22)).value
+        assert approx_numbers(u, 2, budget=4, rng=RandomSource(21)).kind == "upper-bound"
+
+    def test_searched_residual_norms_are_labelled(self):
+        # a Schatten target is neither quadratic, nor atomic in its dual,
+        # nor unconditional: the residual norms are searched
+        m = RandomSource(20).generator().standard_normal((4, 4))
+        u = OperatorSpec(m, WeightedLp.euclidean(4), Schatten(1.0, 2, 2))
+        res = approx_numbers(u, 2, budget=4, rng=RandomSource(23))
+        assert res.kind == "search"
+        assert res.value > 0
 
     def test_validation(self):
         u = OperatorSpec.identity(EUCLID2)

@@ -257,6 +257,20 @@ class TestVolumeRatios:
         near = rhull_volume_defect(SQUARE, 1.0, rng=RandomSource(15), samples=50_000)
         assert near.value == pytest.approx(1.0, abs=5 * near.stderr + 1e-6)
 
+    def test_hull_defect_up_to_dim_five(self):
+        for d in (4, 5):
+            assert rhull_volume_defect(Polytope(np.vstack([np.eye(d), -np.eye(d)])), 1.0).value == 1.0
+        with pytest.raises(ValueError, match="exact polytope volume"):
+            rhull_volume_defect(Polytope(np.vstack([np.eye(6), -np.eye(6)])), 1.0)
+
+    def test_hull_defect_of_four_dim_cross_polytope(self):
+        # the 1/2-hull of the axes is the l_{1/2}^4 ball, of volume
+        # 4^4 / 8!; the cross-polytope has volume 2^4 / 4!
+        cross4 = Polytope(np.vstack([np.eye(4), -np.eye(4)]))
+        est = rhull_volume_defect(cross4, 0.5, rng=RandomSource(16), samples=20_000)
+        expected = ((2.0 / 3.0) / (256.0 / 40320.0)) ** 0.25
+        assert abs(est.value - expected) <= 5 * est.stderr
+
 
 class TestPolarVolumeComparison:
     def test_square_exact_path(self):

@@ -404,8 +404,6 @@ class TestIntermediateGauge:
         with pytest.raises(ValueError):
             ThetaParams(1.5)
         with pytest.raises(ValueError):
-            ThetaParams(0.5, s=1.0)
-        with pytest.raises(ValueError):
             ThetaParams(0.5, nodes=10)
         with pytest.raises(ValueError):
             ThetaParams(0.5, t_min=1.0)
