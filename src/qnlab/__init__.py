@@ -73,31 +73,26 @@ from .factorization import (
     Gamma2Result,
     GaussianMean,
     OpNormResult,
-    ProfileResult,
     approx_numbers,
-    delta_boundedness_sweep,
     delta_upper,
     envelope_distance,
     euclidean_distance,
-    gamma2_boundedness_sweep,
     gamma2_upper,
     gaussian_mean,
     op_norm,
-    weak_cotype2_profile,
 )
 from .sidon import (
     Character,
     CpRatio,
     FiniteAbelianGroup,
-    RegularityResult,
     SidonResult,
     all_characters,
     character_gram,
     character_matrix,
     coordinate_characters,
     cp_ratio,
+    imbalance_lower,
     sidon_constant,
-    sidon_regularity_experiment,
     translate_coefficients,
 )
 from .harness import (

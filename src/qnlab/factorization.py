@@ -406,137 +406,3 @@ def approx_numbers(
         else:
             scale *= 0.7
     return ApproxNumber(best, "upper-bound" if ok else "search")
-
-
-@dataclass(frozen=True)
-class ProfileResult:
-    value: float
-    records: tuple
-
-
-def weak_cotype2_profile(
-    space: QuasiNormedSpace,
-    n: int,
-    trials: int = 8,
-    rng: RandomSource | None = None,
-    samples: int = 20_000,
-) -> ProfileResult:
-    """Empirical profile max over k of a_k sqrt(k) / (Gaussian mean), for
-    random Gaussian operators from Euclidean n-space into the space.
-
-    Observational: a_k values for non-quadratic targets are upper bounds
-    (or searched estimates, ``a_kind`` ``search``), so the profile is an
-    estimate, recorded with per-record certification.
-    """
-    if rng is None:
-        raise ValueError("needs a RandomSource")
-    if n < 1 or trials < 1:
-        raise ValueError("need n >= 1 and trials >= 1")
-    source = WeightedLp.euclidean(n)
-    records = []
-    value = 0.0
-    for t in range(trials):
-        g = rng.split(t, 0).generator().standard_normal((space.dim, n))
-        u = OperatorSpec(g, source, space)
-        ell = gaussian_mean(u, samples, rng.split(t, 1))
-        if ell.value <= 0:
-            continue
-        for k in range(1, n + 1):
-            a = approx_numbers(u, k, rng=rng.split(t, 2, k))
-            ratio = a.value * math.sqrt(k) / ell.value
-            value = max(value, ratio)
-            records.append(
-                {
-                    "trial": t,
-                    "k": k,
-                    "a_k": a.value,
-                    "a_kind": a.kind,
-                    "gaussian_mean": ell.value,
-                    "gaussian_stderr": ell.stderr,
-                    "ratio": ratio,
-                }
-            )
-    return ProfileResult(value, tuple(records))
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    max_ratio: float
-    records: tuple
-
-
-def gamma2_boundedness_sweep(
-    space_pairs,
-    trials: int = 4,
-    budget: int = 4,
-    rng: RandomSource | None = None,
-) -> SweepResult:
-    """Observational sweep: ratio of the factorization upper bound to the
-    operator-norm lower bound for random operators between given spaces,
-    alongside a sign-average certificate for each target."""
-    from .randsigns import cotype2_lower
-
-    if rng is None:
-        raise ValueError("needs a RandomSource")
-    records = []
-    max_ratio = 0.0
-    for idx, (src, tgt) in enumerate(space_pairs):
-        cert = cotype2_lower(OperatorSpec.identity(tgt), n=4, budget=2, rng=rng.split(idx, 0))
-        for t in range(trials):
-            m = rng.split(idx, 1, t).generator().standard_normal((tgt.dim, src.dim))
-            u = OperatorSpec(m, src, tgt)
-            g = gamma2_upper(u, budget=budget, rng=rng.split(idx, 2, t))
-            if g.lower <= 0:
-                continue
-            ratio = g.upper / g.lower
-            max_ratio = max(max_ratio, ratio)
-            records.append(
-                {
-                    "pair": idx,
-                    "source_dim": src.dim,
-                    "target_dim": tgt.dim,
-                    "trial": t,
-                    "target_cotype2_certificate": cert.value,
-                    "op_lower": g.lower,
-                    "gamma2_upper": g.upper,
-                    "certified": g.certified,
-                    "ratio": ratio,
-                }
-            )
-    return SweepResult(max_ratio, tuple(records))
-
-
-def delta_boundedness_sweep(
-    space_pairs,
-    trials: int = 4,
-    budget: int = 2000,
-    rng: RandomSource | None = None,
-) -> SweepResult:
-    """Observational sweep: ratio of the envelope-route upper estimate to
-    the operator-norm lower bound for random operators."""
-    if rng is None:
-        raise ValueError("needs a RandomSource")
-    records = []
-    max_ratio = 0.0
-    for idx, (src, tgt) in enumerate(space_pairs):
-        for t in range(trials):
-            m = rng.split(idx, 1, t).generator().standard_normal((tgt.dim, src.dim))
-            u = OperatorSpec(m, src, tgt)
-            res = delta_upper(u, budget=budget, rng=rng.split(idx, 2, t))
-            if res.lower <= 0:
-                continue
-            ratio = res.upper / res.lower
-            max_ratio = max(max_ratio, ratio)
-            records.append(
-                {
-                    "pair": idx,
-                    "source_dim": src.dim,
-                    "target_dim": tgt.dim,
-                    "trial": t,
-                    "op_lower": res.lower,
-                    "delta_upper": res.upper,
-                    "upper_kind": res.kind,
-                    "ratio": ratio,
-                }
-            )
-    return SweepResult(max_ratio, tuple(records))

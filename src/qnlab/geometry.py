@@ -277,16 +277,20 @@ class RatioEstimate:
     surrogate_inscribed: bool = False
 
 
+def _volume_root(num: float, den: float, est: VolumeEstimate, d: int) -> tuple[float, float]:
+    """``(num / den) ** (1/d)`` and its delta-method standard error, where
+    ``est`` is whichever of the two volumes carries one."""
+    value = (num / den) ** (1.0 / d)
+    return value, (value * est.stderr / (d * est.value) if est.stderr else 0.0)
+
+
 def vr_star(
     space: QuasiNormedSpace, rng: RandomSource | None = None, samples: int = 100_000
 ) -> RatioEstimate:
     """Outer volume ratio: (vol enclosing ellipsoid / vol ball) ** (1/dim)."""
     outer = mvee_of_ball(space)
     vb = volume(space, "auto", rng, samples)
-    d = space.dim
-    value = (outer.volume() / vb.value) ** (1.0 / d)
-    stderr = value * vb.stderr / (d * vb.value) if vb.stderr else 0.0
-    return RatioEstimate(value, stderr)
+    return RatioEstimate(*_volume_root(outer.volume(), vb.value, vb, space.dim))
 
 
 def vr(
@@ -301,9 +305,7 @@ def vr(
     """
     inner = inscribed_ellipsoid(space)
     vb = volume(space, "auto", rng, samples)
-    d = space.dim
-    value = (vb.value / inner.ellipsoid.volume()) ** (1.0 / d)
-    stderr = value * vb.stderr / (d * vb.value) if vb.stderr else 0.0
+    value, stderr = _volume_root(vb.value, inner.ellipsoid.volume(), vb, space.dim)
     return RatioEstimate(value, stderr, surrogate_inscribed=not inner.maximal)
 
 
@@ -337,11 +339,8 @@ def santalo_check(
     outer_ell = mvee_of_ball(space)
     vb = volume(space, "auto", rng.split(0) if rng else None, samples)
     vd = volume(dual, "auto", rng.split(1) if rng else None, samples)
-    outer_value = (outer_ell.volume() / vb.value) ** (1.0 / d)
-    outer_err = outer_value * vb.stderr / (d * vb.value) if vb.stderr else 0.0
-    inner_ell = outer_ell.polar()
-    inner_value = (vd.value / inner_ell.volume()) ** (1.0 / d)
-    inner_err = inner_value * vd.stderr / (d * vd.value) if vd.stderr else 0.0
+    outer_value, outer_err = _volume_root(outer_ell.volume(), vb.value, vb, d)
+    inner_value, inner_err = _volume_root(vd.value, outer_ell.polar().volume(), vd, d)
     slack = 3.0 * math.hypot(outer_err, inner_err) + 1e-9
     passed = outer_value >= inner_value - slack
     return SantaloResult(outer_value, inner_value, slack, passed)
@@ -413,7 +412,4 @@ def rhull_volume_defect(
         return RatioEstimate(1.0, 0.0)
     hull_space = RConvexAtoms(np.asarray(space.extreme_vertices), r)
     vol_r = _mc_volume(hull_space, rng, samples)
-    d = space.dim
-    value = (exact[0] / vol_r.value) ** (1.0 / d)
-    stderr = value * vol_r.stderr / (d * vol_r.value)
-    return RatioEstimate(value, stderr)
+    return RatioEstimate(*_volume_root(exact[0], vol_r.value, vol_r, space.dim))

@@ -2,6 +2,13 @@
 experiments and verification suites, deterministic seeded reports, and
 JSON/CSV serialization.
 
+The experiments own their loops: the library modules compute single
+quantities, and the bodies here draw the seeded inputs, call them, and
+build the records (the ratio sweeps of ``suite:theorem6`` and
+``suite:theorem8``, the approximation-number profiles of
+``suite:weak-cotype2``, and the imbalance search of ``sidon``, which
+reuses the interpolation constant the run has already solved).
+
 Config schema (JSON object, all keys optional except ``experiment``):
 
 ``experiment``
@@ -43,7 +50,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -175,24 +182,6 @@ def parse_group(text: str) -> sidon.FiniteAbelianGroup:
 # config and report
 
 
-_CONFIG_FIELDS = (
-    "experiment",
-    "spaces",
-    "seed",
-    "dim",
-    "samples",
-    "trials",
-    "budget",
-    "tolerance",
-    "theta",
-    "p",
-    "q",
-    "group",
-    "output",
-    "extra",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one experiment run (see module docstring)."""
@@ -232,7 +221,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - set(_CONFIG_FIELDS)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in data:
@@ -353,11 +342,11 @@ def _spaces(config: ExperimentConfig, defaults: tuple[str, ...]) -> list[QuasiNo
     return [parse_space(s) for s in names]
 
 
-def _running_max(records: list[dict], key: str, out: str = "trend_max") -> None:
+def _running_max(records: list[dict], key: str) -> None:
     best = -math.inf
     for rec in records:
         best = max(best, rec[key])
-        rec[out] = best
+        rec["trend_max"] = best
 
 
 # --------------------------------------------------------------------------
@@ -651,8 +640,10 @@ def _run_gamma2(config: ExperimentConfig):
                     f"upper {g.upper:.9f}",
                 )
             )
-        if isinstance(sp, WeightedLp) and sp.p < 1.0 and np.all(np.asarray(sp.weights) == 1.0):
-            target = sp.dim ** (1.0 / sp.p - 1.0)
+        r = sp.r_exponent
+        a = sp.coordinate_scales(r)
+        if r < 1 and a is not None and np.all(a == 1.0):
+            target = sp.dim ** (1.0 / r - 1.0)
             verdicts.append(
                 _verdict(
                     f"envelope distance near closed form {name}",
@@ -686,6 +677,7 @@ def _run_sidon(config: ExperimentConfig):
     else:
         raise ValueError("extra['characters'] must be 'coordinate' or 'all'")
     records, verdicts = [], []
+    sid = None
     if group.is_sign_group and len(chars) <= sidon.MAX_SIDON_SET:
         sid = sidon.sidon_constant(group, chars)
         re_mat, _ = sidon.character_matrix(group, chars)
@@ -727,14 +719,17 @@ def _run_sidon(config: ExperimentConfig):
                     f"ratio {ratio.ratio!r}",
                 )
             )
-    reg = sidon.sidon_regularity_experiment(
-        group, chars, sp, p, budget=config.budget or 2, rng=rng.split(15)
+    imbalance = sidon.imbalance_lower(
+        group, chars, sp, p, budget=config.budget or 2, rng=rng.split(15, 0)
+    )
+    cert = randsigns.cotype2_lower(
+        OperatorSpec.identity(sp), n=min(4, 2 * sp.dim), budget=2, rng=rng.split(15, 1)
     )
     records.append(
         {
-            "regularity_imbalance": reg.max_imbalance,
-            "regularity_sidon": None if reg.sidon is None else reg.sidon.value,
-            "cotype2_certificate": reg.cotype_certificate.value,
+            "regularity_imbalance": imbalance.value,
+            "regularity_sidon": None if sid is None else sid.value,
+            "cotype2_certificate": cert.value,
         }
     )
     return records, verdicts
@@ -878,46 +873,77 @@ def _run_suite_santalo(config: ExperimentConfig):
     return records, verdicts
 
 
-def _run_suite_theorem6(config: ExperimentConfig):
+def _ratio_sweep(config: ExperimentConfig, stream: int, pairs_of, bound, pair_fields=None):
+    """Shared body of the theorem6 and theorem8 sweeps: for each dim 2..4
+    and space pair ``pairs_of(d)``, ``trials`` Gaussian operators, each
+    bracketed by ``bound(u, rng) -> (lower, upper, fields)``; records the
+    ratio upper / lower.  ``pair_fields(target, rng)`` adds fields shared
+    by every record of one pair."""
     trials = config.trials or 3
-    budget = config.budget or 4
     rng = _root(config)
     records = []
     for d in range(2, 5):
-        pairs = [
+        sweep_rng = rng.split(stream, d)
+        for idx, (src, tgt) in enumerate(pairs_of(d)):
+            shared = pair_fields(tgt, sweep_rng.split(idx, 0)) if pair_fields else {}
+            for t in range(trials):
+                m = sweep_rng.split(idx, 1, t).generator().standard_normal((tgt.dim, src.dim))
+                lower, upper, found = bound(OperatorSpec(m, src, tgt), sweep_rng.split(idx, 2, t))
+                if lower <= 0:
+                    continue
+                records.append(
+                    {
+                        "pair": idx,
+                        "source_dim": src.dim,
+                        "target_dim": tgt.dim,
+                        "trial": t,
+                        **shared,
+                        **found,
+                        "ratio": upper / lower,
+                        "dim": d,
+                    }
+                )
+    _running_max(records, "ratio")
+    return records, []
+
+
+def _run_suite_theorem6(config: ExperimentConfig):
+    budget = config.budget or 4
+
+    def pairs_of(d):
+        return [
             (WeightedLp.unweighted(0.5, d), WeightedLp.euclidean(d)),
             (WeightedLp.unweighted(0.5, d), WeightedLp.unweighted(1.0, d)),
             (WeightedLp.unweighted(2.0 / 3.0, d), WeightedLp.euclidean(d)),
         ]
-        sweep = factorization.gamma2_boundedness_sweep(
-            pairs, trials=trials, budget=budget, rng=rng.split(20, d)
-        )
-        for rec in sweep.records:
-            row = dict(rec)
-            row["dim"] = d
-            records.append(row)
-    _running_max(records, "ratio")
-    return records, []
+
+    def target_certificate(tgt, rng):
+        cert = randsigns.cotype2_lower(OperatorSpec.identity(tgt), n=4, budget=2, rng=rng)
+        return {"target_cotype2_certificate": cert.value}
+
+    def bound(u, rng):
+        g = factorization.gamma2_upper(u, budget=budget, rng=rng)
+        found = {"op_lower": g.lower, "gamma2_upper": g.upper, "certified": g.certified}
+        return g.lower, g.upper, found
+
+    return _ratio_sweep(config, 20, pairs_of, bound, target_certificate)
 
 
 def _run_suite_theorem8(config: ExperimentConfig):
-    trials = config.trials or 3
-    rng = _root(config)
-    records = []
-    for d in range(2, 5):
-        pairs = [
+    budget = config.budget or 2000
+
+    def pairs_of(d):
+        return [
             (WeightedLp.unweighted(0.5, d), WeightedLp.euclidean(d)),
             (WeightedLp.unweighted(2.0 / 3.0, d), WeightedLp.unweighted(1.0, d)),
         ]
-        sweep = factorization.delta_boundedness_sweep(
-            pairs, trials=trials, budget=config.budget or 2000, rng=rng.split(21, d)
-        )
-        for rec in sweep.records:
-            row = dict(rec)
-            row["dim"] = d
-            records.append(row)
-    _running_max(records, "ratio")
-    return records, []
+
+    def bound(u, rng):
+        res = factorization.delta_upper(u, budget=budget, rng=rng)
+        found = {"op_lower": res.lower, "delta_upper": res.upper, "upper_kind": res.kind}
+        return res.lower, res.upper, found
+
+    return _ratio_sweep(config, 21, pairs_of, bound)
 
 
 def _run_suite_theorem15(config: ExperimentConfig):
@@ -1011,6 +1037,10 @@ def _run_suite_lemma5(config: ExperimentConfig):
 
 
 def _run_suite_weak_cotype2(config: ExperimentConfig):
+    """Per space, the profile max over trials and k of
+    a_k(u) sqrt(k) / (Gaussian mean of u) for Gaussian operators u from
+    Euclidean (d+2)-space; a_k is an upper bound or a searched value for
+    non-quadratic targets, so the profile is an estimate."""
     trials = config.trials or 2
     samples = config.samples or 6000
     rng = _root(config)
@@ -1019,15 +1049,26 @@ def _run_suite_weak_cotype2(config: ExperimentConfig):
     for p in (0.5, 1.0, 2.0):
         for d in (2, 3):
             sp = WeightedLp.unweighted(p, d)
-            prof = factorization.weak_cotype2_profile(
-                sp, n=d + 2, trials=trials, rng=rng.split(26, idx), samples=samples
-            )
+            n = d + 2
+            source = WeightedLp.euclidean(n)
+            space_rng = rng.split(26, idx)
             idx += 1
+            profile, evaluations = 0.0, 0
+            for t in range(trials):
+                g = space_rng.split(t, 0).generator().standard_normal((d, n))
+                u = OperatorSpec(g, source, sp)
+                ell = factorization.gaussian_mean(u, samples, space_rng.split(t, 1))
+                if ell.value <= 0:
+                    continue
+                for k in range(1, n + 1):
+                    a = factorization.approx_numbers(u, k, rng=space_rng.split(t, 2, k))
+                    profile = max(profile, a.value * math.sqrt(k) / ell.value)
+                    evaluations += 1
             records.append(
                 {
                     "space": format_space(sp),
-                    "profile": prof.value,
-                    "evaluations": len(prof.records),
+                    "profile": profile,
+                    "evaluations": evaluations,
                 }
             )
     _running_max(records, "profile")

@@ -1,7 +1,8 @@
 """Finite abelian groups, their characters, and interpolation-set
 computations: the interpolation (Sidon) constant on sign groups via exact
-linear programming, and the comparison of group-side moment averages
-against sign-average moments for vector-coefficient character sums.
+linear programming, the comparison of group-side moment averages against
+sign-average moments for vector-coefficient character sums, and a
+certified lower bound on the worst imbalance of that comparison.
 
 Conventions
 -----------
@@ -34,10 +35,9 @@ from .randsigns import (
     _as_tuple,
     _power_mean,
     _search_tuples,
-    cotype2_lower,
     rademacher_average,
 )
-from .spaces import OperatorSpec, QuasiNormedSpace
+from .spaces import QuasiNormedSpace
 
 MAX_GROUP_ORDER = 4096
 MAX_SIDON_SET = 10
@@ -230,63 +230,30 @@ def translate_coefficients(
     return re[shift][:, None] * V
 
 
-@dataclass(frozen=True)
-class RegularityResult:
-    """Observational pairing of the worst moment-comparison imbalance found
-    with the set's interpolation constant and a sign-average certificate
-    for the space."""
-
-    max_imbalance: float
-    sidon: SidonResult | None
-    cotype_certificate: ConstantEstimate
-    records: tuple
-
-
-def sidon_regularity_experiment(
+def imbalance_lower(
     group: FiniteAbelianGroup,
     chars,
     space: QuasiNormedSpace,
     p: float,
     budget: int = 4,
     rng: RandomSource | None = None,
-) -> RegularityResult:
-    """Search coefficient tuples maximizing max(ratio, 1/ratio) of the
-    group-side to sign-side moment comparison, reported alongside the
-    interpolation constant (sign groups) and a cotype-2 lower certificate.
-
-    Observational: the search value is a lower bound on the true
-    worst-case imbalance; no numeric threshold is asserted.
-    """
+) -> ConstantEstimate:
+    """Certified lower bound for the worst moment-comparison imbalance
+    ``max(ratio, 1/ratio)`` of ``cp_ratio`` over coefficient tuples, one
+    vector per character, with the maximizing witness tuple."""
     chars = tuple(chars)
-    if rng is None:
-        raise ValueError("needs a RandomSource")
     n = len(chars)
 
     def objective(V):
-        flat = V.reshape(n, space.dim)
-        norms = space.gauge_many(flat)
-        if norms.max() <= 1e-12:
+        if space.gauge_many(V).max() <= 1e-12:
             return 0.0
         try:
-            res = cp_ratio(group, chars, space, p, flat)
+            res = cp_ratio(group, chars, space, p, V)
         except ValueError:
             return 0.0
         if res.ratio <= 0:
             return 0.0
         return max(res.ratio, 1.0 / res.ratio)
 
-    value, flat = _search_tuples(objective, n, space.dim, budget, rng.split(0))
-    cert = cotype2_lower(OperatorSpec.identity(space), n=min(4, 2 * space.dim), budget=2, rng=rng.split(1))
-    sid = None
-    if group.is_sign_group and n <= MAX_SIDON_SET:
-        sid = sidon_constant(group, chars)
-    best = cp_ratio(group, chars, space, p, flat.reshape(n, space.dim))
-    records = (
-        {
-            "group_side": best.group_side,
-            "rademacher_side": best.rademacher_side,
-            "ratio": best.ratio,
-            "imbalance": value,
-        },
-    )
-    return RegularityResult(value, sid, cert, records)
+    value, witness = _search_tuples(objective, n, space.dim, budget, rng)
+    return ConstantEstimate(value, "certified-lower-bound", witness)

@@ -1,4 +1,4 @@
-"""Operator norms, quadratic factorizations, distances, and profiles."""
+"""Operator norms, quadratic factorizations, distances, Gaussian means and approximation numbers."""
 
 import math
 
@@ -9,15 +9,12 @@ import scipy.linalg
 from qnlab.numkernel import RandomSource, singular_values
 from qnlab.factorization import (
     approx_numbers,
-    delta_boundedness_sweep,
     delta_upper,
     envelope_distance,
     euclidean_distance,
-    gamma2_boundedness_sweep,
     gamma2_upper,
     gaussian_mean,
     op_norm,
-    weak_cotype2_profile,
 )
 from qnlab.spaces import OperatorSpec, Polytope, Quadratic, Schatten, WeightedLp
 
@@ -237,33 +234,3 @@ class TestApproxNumbers:
             approx_numbers(u, 0)
         with pytest.raises(ValueError):
             approx_numbers(u, 1, budget=0)
-
-
-class TestProfilesAndSweeps:
-    def test_weak_cotype2_profile_structure(self):
-        res = weak_cotype2_profile(
-            WeightedLp.unweighted(1.0, 3), n=4, trials=2, rng=RandomSource(16), samples=20_000
-        )
-        assert res.value > 0
-        assert len(res.records) == 8  # trials * n
-        again = weak_cotype2_profile(
-            WeightedLp.unweighted(1.0, 3), n=4, trials=2, rng=RandomSource(16), samples=20_000
-        )
-        assert again.value == res.value
-
-    def test_profile_needs_rng(self):
-        with pytest.raises(ValueError):
-            weak_cotype2_profile(WeightedLp.unweighted(1.0, 3), n=4, trials=2)
-
-    def test_gamma2_sweep(self):
-        pairs = [(WeightedLp.unweighted(0.5, 2), WeightedLp.euclidean(2))]
-        res = gamma2_boundedness_sweep(pairs, trials=2, budget=2, rng=RandomSource(17))
-        assert res.max_ratio == pytest.approx(max(r["ratio"] for r in res.records))
-        assert all(r["ratio"] >= 1 - 1e-9 for r in res.records)
-        assert all("target_cotype2_certificate" in r for r in res.records)
-
-    def test_delta_sweep(self):
-        pairs = [(WeightedLp.unweighted(0.5, 2), WeightedLp.unweighted(1.0, 2))]
-        res = delta_boundedness_sweep(pairs, trials=2, budget=400, rng=RandomSource(18))
-        assert res.max_ratio >= 1 - 1e-9
-        assert len(res.records) == 2

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qnlab.cli as cli
+from qnlab import sidon
 from qnlab.harness import (
     ExperimentConfig,
     format_space,
@@ -150,6 +151,48 @@ class TestRegistryAndRuns:
         va = run(base).records[0]["mc_value"]
         vb = run(other).records[0]["mc_value"]
         assert va != vb
+
+
+class TestExperimentLoops:
+    def test_theorem6_records(self):
+        report = run(ExperimentConfig(experiment="suite:theorem6", seed=17, trials=2, budget=2))
+        assert report.records
+        assert all(r["ratio"] >= 1 - 1e-9 for r in report.records)
+        assert all("target_cotype2_certificate" in r for r in report.records)
+
+    def test_theorem8_ratios(self):
+        report = run(ExperimentConfig(experiment="suite:theorem8", seed=18, trials=2, budget=2))
+        assert report.records
+        assert all(r["ratio"] >= 1 - 1e-9 for r in report.records)
+
+    def test_weak_cotype2_evaluation_counts(self):
+        trials = 2
+        report = run(ExperimentConfig(experiment="suite:weak-cotype2", seed=16, trials=trials))
+        assert len(report.records) == 6
+        for r in report.records:
+            d = parse_space(r["space"]).dim
+            assert r["evaluations"] == trials * (d + 2)
+            assert r["profile"] > 0
+
+    def test_gamma2_closed_form_needs_unit_coordinate_scales(self):
+        spaces = ("lp p=0.5 dim=2", "lp p=0.5 weights=1.0,2.0", "lp p=1.0 dim=2")
+        report = run(ExperimentConfig(experiment="gamma2", spaces=spaces, budget=2))
+        assert report.passed is True
+        closed = [v["name"] for v in report.verdicts if "closed form" in v["name"]]
+        assert closed == ["envelope distance near closed form lp p=0.5 dim=2"]
+
+    def test_sidon_solves_the_interpolation_sweep_once(self, monkeypatch):
+        calls = []
+        solve = sidon.sidon_constant
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(sidon, "sidon_constant", counted)
+        report = run(ExperimentConfig(experiment="sidon", group="z2^3", extra={"characters": "all"}))
+        assert report.passed is True
+        assert len(calls) == 1
 
 
 class TestReports:

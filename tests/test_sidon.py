@@ -14,8 +14,8 @@ from qnlab.sidon import (
     character_matrix,
     coordinate_characters,
     cp_ratio,
+    imbalance_lower,
     sidon_constant,
-    sidon_regularity_experiment,
     translate_coefficients,
 )
 from qnlab.spaces import Polytope, RConvexAtoms, WeightedLp
@@ -151,17 +151,12 @@ class TestTranslation:
         assert np.allclose(twice, V)
 
 
-class TestRegularityExperiment:
-    def test_runs_and_reports(self):
-        res = sidon_regularity_experiment(
-            Z22, coordinate_characters(Z22), WeightedLp.unweighted(1.0, 2), 1.0,
-            budget=2, rng=RandomSource(16),
-        )
-        assert res.max_imbalance >= 1 - 1e-12
-        assert res.sidon is not None and res.sidon.value == pytest.approx(1.0, abs=1e-9)
-        assert res.cotype_certificate.value >= 1 - 1e-9
-        assert len(res.records) > 0
-
-    def test_rng_required(self):
-        with pytest.raises(ValueError):
-            sidon_regularity_experiment(Z22, coordinate_characters(Z22), WeightedLp.euclidean(2), 1.0)
+class TestImbalanceLower:
+    def test_certified_witness_reproduces_value(self):
+        chars = all_characters(Z22)
+        sp = WeightedLp.unweighted(1.0, 2)
+        est = imbalance_lower(Z22, chars, sp, 1.0, budget=2, rng=RandomSource(16))
+        assert est.kind == "certified-lower-bound"
+        assert est.value >= 1 - 1e-12
+        again = cp_ratio(Z22, chars, sp, 1.0, est.witness)
+        assert max(again.ratio, 1.0 / again.ratio) == est.value
