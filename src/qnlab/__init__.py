@@ -17,7 +17,6 @@ from .spaces import (
     WeightedLp,
     coordinate_section,
     horn_check,
-    polytope_section,
     quotient,
 )
 from .geometry import (
@@ -35,7 +34,6 @@ from .geometry import (
     section_projection_volume_check,
     unit_ball_volume,
     volume,
-    vr,
     vr_star,
 )
 from .interpolation import (
@@ -58,7 +56,6 @@ from .randsigns import (
     ConstantEstimate,
     RademacherAverage,
     cotype2_lower,
-    cotype_q_lower,
     kconvexity_lower,
     khintchine_ratio,
     rademacher_average,
@@ -87,13 +84,11 @@ from .sidon import (
     FiniteAbelianGroup,
     SidonResult,
     all_characters,
-    character_gram,
     character_matrix,
     coordinate_characters,
     cp_ratio,
     imbalance_lower,
     sidon_constant,
-    translate_coefficients,
 )
 from .harness import (
     ExperimentConfig,

@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .harness import ExperimentConfig, list_experiments, run, suite_names, write_report
 
@@ -77,11 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
     flags: dict = {"experiment": experiment}
-    for key in ("seed", "dim", "samples", "trials", "budget", "tolerance",
-                "theta", "p", "q", "group", "output"):
-        value = getattr(args, key, None)
+    for f in fields(ExperimentConfig):
+        if f.name in ("experiment", "spaces", "extra"):
+            continue
+        value = getattr(args, f.name, None)
         if value is not None:
-            flags[key] = value
+            flags[f.name] = value
     if getattr(args, "space", None):
         flags["spaces"] = tuple(args.space)
     if getattr(args, "extra", None):

@@ -165,11 +165,11 @@ def _factor_norms(
 
 def gamma2_upper(
     u: OperatorSpec,
-    k: int | None = None,
     budget: int = 8,
     rng: RandomSource | None = None,
 ) -> Gamma2Result:
-    """Bracket for the least factorization product through Euclidean space.
+    """Bracket for the least factorization product through Euclidean space
+    of the operator's rank (dimension 1 for the zero map).
 
     The upper bound searches over invertible reparameterizations of an
     initial split (SVD-based; for identity operators also the enclosing
@@ -181,10 +181,7 @@ def gamma2_upper(
     dy, dx = m.shape
     s_all = singular_values(m) if np.any(m) else np.zeros(min(dx, dy))
     rank = int(np.sum(s_all > (s_all[0] if s_all.size else 0.0) * 1e-12))
-    if k is None:
-        k = max(rank, 1)
-    if k < rank:
-        raise ValueError("inner dimension below the operator rank")
+    k = max(rank, 1)
     if not np.any(m):
         witness = FactorizationWitness(k, np.zeros((k, dx)), np.zeros((dy, k)), 0.0, 0.0)
         return Gamma2Result(0.0, 0.0, witness, True)

@@ -9,8 +9,9 @@ symmetric positive-definite.  This module computes
 * enclosing/inscribed ellipsoids of concrete unit balls;
 * volumes, exactly where a closed form or a fan triangulation applies and
   by rejection sampling inside the enclosing ellipsoid otherwise;
-* the outer/inner volume ratios of a ball and the polar and
-  section/projection inequalities built from them.
+* the outer volume ratio of a ball, the polar comparison of that ratio
+  with the dual ball's inner ratio, and the section/projection
+  inequality.
 
 Nothing here dispatches on a space kind: the kinds give their closed-form
 ellipsoids (``enclosing_form``, ``inscribed_form``), ball and dual-ball
@@ -80,10 +81,6 @@ class Ellipsoid:
     def boundary_radii(self, directions) -> np.ndarray:
         """Distance to the boundary along each (nonzero) direction row."""
         return 1.0 / np.sqrt(self.quadratic_form(directions))
-
-    def contains(self, points) -> bool:
-        """Whether every point row satisfies x' shape x <= 1 + 1e-9."""
-        return bool(np.all(self.quadratic_form(points) <= 1.0 + 1e-9))
 
     def sample_interior(self, rng: RandomSource, n: int) -> np.ndarray:
         """n points uniform in the ellipsoid (pure in (rng, n))."""
@@ -274,7 +271,6 @@ def volume(
 class RatioEstimate:
     value: float
     stderr: float = 0.0
-    surrogate_inscribed: bool = False
 
 
 def _volume_root(num: float, den: float, est: VolumeEstimate, d: int) -> tuple[float, float]:
@@ -291,22 +287,6 @@ def vr_star(
     outer = mvee_of_ball(space)
     vb = volume(space, "auto", rng, samples)
     return RatioEstimate(*_volume_root(outer.volume(), vb.value, vb, space.dim))
-
-
-def vr(
-    space: QuasiNormedSpace, rng: RandomSource | None = None, samples: int = 100_000
-) -> RatioEstimate:
-    """Inner volume ratio: (vol ball / vol inscribed ellipsoid) ** (1/dim).
-
-    When the inscribed ellipsoid is the ball surrogate (non-convex
-    unweighted Lp), the ellipsoid volume is only a certified lower bound
-    for the maximal one and the returned ratio is flagged via
-    ``surrogate_inscribed``.
-    """
-    inner = inscribed_ellipsoid(space)
-    vb = volume(space, "auto", rng, samples)
-    value, stderr = _volume_root(vb.value, inner.ellipsoid.volume(), vb, space.dim)
-    return RatioEstimate(value, stderr, surrogate_inscribed=not inner.maximal)
 
 
 @dataclass(frozen=True)

@@ -98,10 +98,6 @@ class NormPair:
         return cls(space0, space1)
 
     @classmethod
-    def equal(cls, space: QuasiNormedSpace) -> "NormPair":
-        return cls(space, space)
-
-    @classmethod
     def diagonal(cls, weights0, weights1) -> "NormPair":
         """Quadratic pair with gauges ``sqrt(sum_i (w_i x_i)^2)``."""
         w0, w1 = as_vector(weights0), as_vector(weights1)
@@ -120,7 +116,7 @@ class NormPair:
         back = vecs.T @ a0
         return np.maximum(mu, 0.0), back
 
-    def equivalence_constants(self, rng: RandomSource | None = None) -> tuple[float, float]:
+    def equivalence_constants(self) -> tuple[float, float]:
         """(c, C) with c <= g1(x)/g0(x) <= C.
 
         Two weighted Lp spaces get the true extremes in closed form.  With
@@ -137,24 +133,18 @@ class NormPair:
         if isinstance(sp0, WeightedLp) and isinstance(sp1, WeightedLp):
             a = np.asarray(sp0.scales) / np.asarray(sp1.scales)
             return 1.0 / _lp_ratio_sup(1.0 / a, sp1.p, sp0.p), _lp_ratio_sup(a, sp0.p, sp1.p)
-        key = None if rng is None else (rng.seed, rng.path)
-        cache = self.__dict__.setdefault("_ratio_cache", {})
-        if key in cache:
-            return cache[key]
-        if rng is None:
-            rng = RandomSource(0, (97,))
         d = self.dim
         det = np.vstack([np.eye(d), np.ones((1, d))])
-        extra = rng.generator().standard_normal((max(_RATIO_DIRECTIONS - det.shape[0], 0), d))
+        extra = RandomSource(0, (97,)).generator().standard_normal(
+            (max(_RATIO_DIRECTIONS - det.shape[0], 0), d)
+        )
         pts = np.vstack([det, extra]) if extra.size else det
         g0 = self.space0.gauge_many(pts)
         g1 = self.space1.gauge_many(pts)
         if np.any(g0 <= 0) or np.any(g1 <= 0):
             raise ValueError("gauges must be positive on nonzero directions")
         ratio = g1 / g0
-        out = (float(ratio.min()), float(ratio.max()))
-        cache[key] = out
-        return out
+        return float(ratio.min()), float(ratio.max())
 
 
 def _lp_ratio_sup(a: np.ndarray, p: float, q: float) -> float:
@@ -416,7 +406,6 @@ def k_functional(
     t: float,
     x,
     budget: int = 200,
-    rng: RandomSource | None = None,
 ) -> KValue:
     """Splitting value of x at parameter t with exponent s.
 
@@ -442,7 +431,7 @@ def k_functional(
         val = float(exact[0])
         return KValue(val, val, True)
     val = float(_search_k(pair, ts, v, s, budget)[0])
-    c, cap = pair.equivalence_constants(rng)
+    c, cap = pair.equivalence_constants()
     r = pair.r_exponent
     scale = 2.0 ** (1.0 / s - 1.0 / r)
     lower = scale * max(

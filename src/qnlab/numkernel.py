@@ -182,13 +182,10 @@ class RandomSource:
 
     seed: int
     path: tuple[int, ...] = ()
-    algorithm: str = "philox4x64"
 
     def __post_init__(self):
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.algorithm != "philox4x64":
-            raise ValueError(f"unknown generator algorithm {self.algorithm!r}")
         object.__setattr__(self, "path", tuple(int(i) for i in self.path))
 
     def generator(self) -> np.random.Generator:

@@ -225,31 +225,6 @@ def cotype2_lower(
     return ConstantEstimate(value, "certified-lower-bound", witness)
 
 
-def cotype_q_lower(
-    space: QuasiNormedSpace,
-    q: float,
-    n: int,
-    budget: int = 8,
-    rng: RandomSource | None = None,
-) -> ConstantEstimate:
-    """Certified lower bound for the q-exponent reverse domination on a
-    single space: ``(sum gauge(x_i)^q)^(1/q) <= C * Lq average``."""
-    if not (2 <= q < math.inf):
-        raise ValueError("need a finite cotype exponent q >= 2")
-    if not (1 <= n <= MAX_EXACT_N):
-        raise ValueError(f"need 1 <= N <= {MAX_EXACT_N}")
-
-    def objective(V):
-        avg = rademacher_average(space, V, q)
-        if avg.value <= 1e-18:
-            return 0.0
-        num = float(sum(space.gauge_many(V) ** q)) ** (1.0 / q)
-        return num / avg.value
-
-    value, witness = _search_tuples(objective, n, space.dim, budget, rng)
-    return ConstantEstimate(value, "certified-lower-bound", witness)
-
-
 def kconvexity_lower(
     u: OperatorSpec, n: int, budget: int = 8, rng: RandomSource | None = None
 ) -> ConstantEstimate:

@@ -1,7 +1,7 @@
 """Finite abelian groups, their characters, and interpolation-set
 computations: the interpolation (Sidon) constant on sign groups via exact
-linear programming, the comparison of group-side moment averages against
-sign-average moments for vector-coefficient character sums, and a
+linear programming, the exact comparison of group-side moment averages
+against sign-average moments for vector-coefficient character sums, and a
 certified lower bound on the worst imbalance of that comparison.
 
 Conventions
@@ -121,13 +121,6 @@ def character_matrix(group: FiniteAbelianGroup, chars) -> tuple[np.ndarray, np.n
     return np.cos(angle), np.sin(angle)
 
 
-def character_gram(group: FiniteAbelianGroup, chars) -> np.ndarray:
-    """Normalized-counting-measure Gram matrix of the characters (complex)."""
-    re, im = character_matrix(group, chars)
-    values = re + 1j * im
-    return values.conj().T @ values / group.order
-
-
 @dataclass(frozen=True)
 class SidonResult:
     """Worst-case interpolation cost over sign patterns on the set."""
@@ -186,16 +179,14 @@ def cp_ratio(
     space: QuasiNormedSpace,
     p: float,
     vectors,
-    mode: str = "exact",
-    rng: RandomSource | None = None,
-    samples: int = 10_000,
 ) -> CpRatio:
     """p-th moment of the gauge of a character sum over the group, against
     the same moment of the sign average with the same coefficients.
 
     Complex character values use the convention
-    ``gauge(z) = max(gauge(Re z), gauge(Im z))`` per group element.  The
-    sign-average side is exact enumeration or sampling per ``mode``.
+    ``gauge(z) = max(gauge(Re z), gauge(Im z))`` per group element.  Both
+    sides are exact: the group side sums over every element, and the
+    sign-average side enumerates every sign pattern.
     """
     chars = tuple(chars)
     V = _as_tuple(vectors, space.dim)
@@ -209,25 +200,10 @@ def cp_ratio(
     else:
         gauges = space.gauge_many(re @ V)
     group_side = _power_mean(gauges, p)
-    rad = rademacher_average(space, V, p, mode=mode, rng=rng, samples=samples)
+    rad = rademacher_average(space, V, p)
     if rad.value <= 0:
         raise ValueError("sign-average side vanished; ratio undefined")
     return CpRatio(group_side, rad.value, group_side / rad.value)
-
-
-def translate_coefficients(
-    group: FiniteAbelianGroup, chars, vectors, shift: int
-) -> np.ndarray:
-    """Coefficients of the character sum translated by a group element.
-
-    Translating the argument multiplies each coefficient by the character's
-    value at the shift; implemented for sign groups (real values)."""
-    if not group.is_sign_group:
-        raise NotImplementedError("translation of coefficients needs real character values")
-    chars = tuple(chars)
-    re, _ = character_matrix(group, chars)
-    V = np.asarray(vectors, dtype=float)
-    return re[shift][:, None] * V
 
 
 def imbalance_lower(

@@ -56,7 +56,6 @@ from .numkernel import (
     as_vector,
     dedup_rows,
     frozen_array,
-    gram_schmidt,
     orthonormal_complement,
     require_symmetric_rows,
     singular_values,
@@ -605,9 +604,6 @@ class OperatorSpec:
     def identity(cls, space: QuasiNormedSpace) -> "OperatorSpec":
         return cls(np.eye(space.dim), space, space)
 
-    def apply(self, x) -> np.ndarray:
-        return np.asarray(self.matrix) @ as_vector(x, dim=self.source.dim)
-
     def apply_many(self, points) -> np.ndarray:
         return as_matrix(points, cols=self.source.dim) @ np.asarray(self.matrix).T
 
@@ -681,48 +677,8 @@ def quotient(space: QuasiNormedSpace, kernel_basis) -> QuasiNormedSpace:
 def coordinate_section(space: WeightedLp, indices) -> WeightedLp:
     """Restriction of a weighted Lp space to a coordinate subset."""
     if not isinstance(space, WeightedLp):
-        raise ValueError(
-            "coordinate sections are only defined for WeightedLp spaces; "
-            "use polytope_section for polytopes in dim <= 3"
-        )
+        raise ValueError("coordinate sections are only defined for WeightedLp spaces")
     idx = sorted(set(int(i) for i in indices))
     if not idx or idx[0] < 0 or idx[-1] >= space.dim:
         raise ValueError("index set out of range or empty")
     return WeightedLp(space.p, np.asarray(space.weights)[idx])
-
-
-def polytope_section(space: Polytope, basis) -> Polytope:
-    """Exact section of a polytope ball by a subspace, in dim <= 3.
-
-    ``basis`` has the subspace's spanning rows (1 or 2 of them).  The result
-    is expressed in the orthonormal basis obtained by Gram-Schmidt on those
-    rows (in order), via intersection of the facet inequalities with the
-    subspace.
-    """
-    if not isinstance(space, Polytope):
-        raise ValueError("polytope_section needs a Polytope")
-    if space.dim > 3:
-        raise ValueError("sections by general subspaces capped at dim 3")
-    B = as_matrix(np.array([as_vector(r, dim=space.dim) for r in basis]))
-    k = B.shape[0]
-    if not (1 <= k < space.dim):
-        raise ValueError("subspace must be proper and nonzero")
-    U = gram_schmidt(B)
-    A = np.asarray(space.facet_normals) @ U.T  # constraints <a, y> <= 1
-    if k == 1:
-        pos = A[:, 0]
-        t = 1.0 / float(pos.max())
-        return Polytope([[t], [-t]])
-    # k == 2: vertex enumeration of {y : A @ y <= 1}
-    verts = []
-    m = A.shape[0]
-    for i, j in itertools.combinations(range(m), 2):
-        M = A[[i, j]]
-        if abs(np.linalg.det(M)) <= 1e-12:
-            continue
-        y = np.linalg.solve(M, np.ones(2))
-        if np.all(A @ y <= 1.0 + 1e-9):
-            verts.append(y)
-    if not verts:
-        raise RuntimeError("no section vertices found")
-    return Polytope(dedup_rows(np.array(verts)))

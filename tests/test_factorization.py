@@ -104,10 +104,6 @@ class TestQuadraticFactorization:
         assert not res.certified
         assert res.upper >= res.lower > 0
 
-    def test_inner_dim_cap_validation(self):
-        with pytest.raises(ValueError):
-            gamma2_upper(OperatorSpec.identity(EUCLID3), k=2, rng=RandomSource(1))
-
 
 class TestDistances:
     @pytest.mark.parametrize("p", [1.0, math.inf])

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ class TestExperimentConfig:
             experiment="volume", spaces=("lp p=0.5 dim=2",), seed=3,
             samples=20_000, extra={"note": "x"},
         )
-        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+        assert ExperimentConfig.from_dict(json.loads(cfg.to_json())) == cfg
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -225,7 +226,19 @@ class TestReports:
         assert out.exists()
 
 
+SCALAR_CONFIG_FIELDS = [
+    f.name for f in fields(ExperimentConfig) if f.name not in ("experiment", "spaces", "extra")
+]
+
+
 class TestCli:
+    @pytest.mark.parametrize("name", SCALAR_CONFIG_FIELDS)
+    def test_scalar_flag_reaches_config(self, name):
+        # "7" parses as every scalar field type: int, float and string
+        args = cli.build_parser().parse_args(["run", "volume", f"--{name}", "7"])
+        config = cli._config_from_args(args, "volume")
+        assert getattr(config, name) in (7, "7")
+
     def test_list(self, capsys):
         assert cli.main(["list"]) == 0
         out = capsys.readouterr().out

@@ -147,8 +147,6 @@ class TestRandomSource:
             RandomSource(-1)
         with pytest.raises(ValueError):
             RandomSource(2**64)
-        with pytest.raises(ValueError):
-            RandomSource(1, algorithm="mt19937")
 
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=50))
     @settings(max_examples=25, deadline=None)

@@ -18,7 +18,6 @@ from qnlab.spaces import (
     WeightedLp,
     coordinate_section,
     horn_check,
-    polytope_section,
     quotient,
 )
 
@@ -272,7 +271,7 @@ class TestOperators:
         sp = WeightedLp.euclidean(3)
         u = OperatorSpec.identity(sp)
         x = np.array([1.0, -2.0, 0.5])
-        assert np.array_equal(u.apply(x), x)
+        assert np.array_equal(u.apply_many(x[None])[0], x)
         assert np.array_equal(u.apply_many(np.vstack([x, 2 * x]))[1], 2 * x)
 
     def test_shape_validation(self):
@@ -363,9 +362,3 @@ class TestQuotientsAndSections:
             coordinate_section(WeightedLp.euclidean(3), [0, 3])
         # duplicate indices collapse to the set they name
         assert coordinate_section(WeightedLp.euclidean(3), [0, 0]).dim == 1
-
-    def test_polytope_diagonal_section(self):
-        basis = np.array([[1.0, 1.0]]) / math.sqrt(2.0)
-        sec = polytope_section(SQUARE, basis)
-        assert sec.dim == 1
-        assert np.allclose(np.sort(sec.vertices.ravel()), [-math.sqrt(2.0), math.sqrt(2.0)])
