@@ -8,7 +8,7 @@ verification suites), plus:
 * ``suite`` — run every ``suite:...`` entry in catalogue order.
 
 Flags: ``--seed --dim --samples --trials --budget --tolerance --theta
---p --q --group --space (repeatable) --output --config --extra KEY=VALUE``.
+--p --group --space (repeatable) --output --config --extra KEY=VALUE``.
 A ``--config`` JSON file is merged over the flags: keys present in the
 file override flag values.
 
@@ -36,7 +36,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tolerance", type=float, default=None, help="verdict tolerance")
     parser.add_argument("--theta", type=float, default=None, help="interpolation parameter")
     parser.add_argument("--p", type=float, default=None, help="gauge/moment exponent")
-    parser.add_argument("--q", type=float, default=None, help="secondary exponent")
     parser.add_argument("--group", type=str, default=None, help="group string, e.g. 2,2 or z2^3")
     parser.add_argument(
         "--space",

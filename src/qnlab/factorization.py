@@ -39,7 +39,7 @@ class OpNormResult:
     kind: str  # exact | lower-bound | upper-bound
 
 
-def _search_op_norm(u: OperatorSpec, budget: int, rng: RandomSource | None) -> float:
+def _search_op_norm(u: OperatorSpec, budget: int, rng: RandomSource) -> float:
     m = np.asarray(u.matrix)
     d = u.source.dim
 
@@ -52,8 +52,6 @@ def _search_op_norm(u: OperatorSpec, budget: int, rng: RandomSource | None) -> f
     starts = [np.ones(d)]
     starts.extend(np.eye(d))
     starts.extend(-np.eye(d))
-    if rng is None:
-        rng = RandomSource(0, (13,))
     n_random = max(4, budget // 500)
     for i in range(n_random):
         starts.append(rng.split(3, i).generator().standard_normal(d))
@@ -90,7 +88,7 @@ def _exact_op_norm(u: OperatorSpec) -> float | None:
     return float(np.sqrt((pulled**2).sum(axis=1)).max())
 
 
-def op_norm(u: OperatorSpec, budget: int = 2000, rng: RandomSource | None = None) -> OpNormResult:
+def op_norm(u: OperatorSpec, budget: int = 2000, rng: RandomSource = RandomSource(0)) -> OpNormResult:
     """Largest gauge amplification of the operator: exact (kind ``exact``)
     on the routes of ``_exact_op_norm``, else a certified lower bound (kind
     ``lower-bound``) from coordinate ascent, ``budget`` evaluations per
@@ -104,7 +102,7 @@ def op_norm(u: OperatorSpec, budget: int = 2000, rng: RandomSource | None = None
 
 
 def _norm_bound(
-    matrix: np.ndarray, source: QuasiNormedSpace, target: QuasiNormedSpace, rng: RandomSource | None
+    matrix: np.ndarray, source: QuasiNormedSpace, target: QuasiNormedSpace, rng: RandomSource
 ) -> tuple[float, bool]:
     """The operator norm when an exact route gives it, else a true upper
     bound when one is available, else a 500-evaluation search value; with
@@ -155,7 +153,7 @@ class Gamma2Result:
 
 def _factor_norms(
     w: np.ndarray, v: np.ndarray, source: QuasiNormedSpace, target: QuasiNormedSpace,
-    rng: RandomSource | None,
+    rng: RandomSource,
 ) -> tuple[float, float, bool]:
     middle = WeightedLp.euclidean(w.shape[0])
     nw, w_ok = _norm_bound(w, source, middle, rng)
@@ -166,7 +164,7 @@ def _factor_norms(
 def gamma2_upper(
     u: OperatorSpec,
     budget: int = 8,
-    rng: RandomSource | None = None,
+    rng: RandomSource = RandomSource(0),
 ) -> Gamma2Result:
     """Bracket for the least factorization product through Euclidean space
     of the operator's rank (dimension 1 for the zero map).
@@ -185,8 +183,6 @@ def gamma2_upper(
     if not np.any(m):
         witness = FactorizationWitness(k, np.zeros((k, dx)), np.zeros((dy, k)), 0.0, 0.0)
         return Gamma2Result(0.0, 0.0, witness, True)
-    if rng is None:
-        rng = RandomSource(0, (53,))
     lower = op_norm(u, rng=rng.split(0)).value
 
     s, u_left, vt = svd(m)
@@ -239,7 +235,7 @@ class DistanceBracket:
 
 
 def euclidean_distance(
-    space: QuasiNormedSpace, budget: int = 8, rng: RandomSource | None = None
+    space: QuasiNormedSpace, budget: int = 8, rng: RandomSource = RandomSource(0)
 ) -> DistanceBracket:
     """Bracket for the least two-sided Euclidean comparison constant of the
     gauge (the identity's factorization constant).
@@ -250,8 +246,6 @@ def euclidean_distance(
     at most the squared constant; maximized over deterministic axis pairs
     and sampled pairs, floored at 1.
     """
-    if rng is None:
-        rng = RandomSource(0, (59,))
     d = space.dim
     g = gamma2_upper(OperatorSpec.identity(space), budget=budget, rng=rng.split(0))
     pairs = [(np.eye(d)[i], np.eye(d)[j]) for i in range(d) for j in range(i + 1, d)]
@@ -268,7 +262,7 @@ def euclidean_distance(
 
 
 def envelope_distance(
-    space: QuasiNormedSpace, budget: int = 8, rng: RandomSource | None = None
+    space: QuasiNormedSpace, budget: int = 8, rng: RandomSource = RandomSource(0)
 ) -> ConstantEstimate:
     """Certified lower bound (with witness) on the distance to the convex
     envelope: the gauge maximized over the envelope unit sphere."""
@@ -282,8 +276,6 @@ def envelope_distance(
 
     starts = [np.ones(d)]
     starts.extend(np.eye(d))
-    if rng is None:
-        rng = RandomSource(0, (61,))
     for i in range(max(budget, 2)):
         starts.append(np.abs(rng.split(5, i).generator().standard_normal(d)))
     best_v, best_x = _best_ascent(objective, starts, 80 * d)
@@ -298,7 +290,7 @@ class DeltaResult:
     kind: str  # certification of the upper evaluation
 
 
-def delta_upper(u: OperatorSpec, budget: int = 2000, rng: RandomSource | None = None) -> DeltaResult:
+def delta_upper(u: OperatorSpec, budget: int = 2000, rng: RandomSource = RandomSource(0)) -> DeltaResult:
     """Bracket for the least factorization product through a convex space.
 
     Factoring through the source's convex envelope with the identity shows
@@ -309,7 +301,7 @@ def delta_upper(u: OperatorSpec, budget: int = 2000, rng: RandomSource | None = 
     """
     env = u.source.envelope_space()
     upper_res = op_norm(OperatorSpec(u.matrix, env, u.target), budget, rng)
-    lower = op_norm(u, budget, rng.split(1) if rng else None).value
+    lower = op_norm(u, budget, rng.split(1)).value
     return DeltaResult(upper_res.value, lower, upper_res.kind)
 
 
@@ -320,15 +312,13 @@ class GaussianMean:
     samples: int
 
 
-def gaussian_mean(u: OperatorSpec, samples: int = 100_000, rng: RandomSource | None = None) -> GaussianMean:
+def gaussian_mean(u: OperatorSpec, samples: int = 100_000, rng: RandomSource = RandomSource(0)) -> GaussianMean:
     """Root mean square of the target gauge of the image of a standard
     Gaussian vector; standard error by batch means."""
     if not u.source.is_euclidean:
         raise ValueError("gaussian mean needs a Euclidean source")
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    if rng is None:
-        raise ValueError("needs a RandomSource")
     m = np.asarray(u.matrix)
     if not np.any(m):
         return GaussianMean(0.0, 0.0, samples)
@@ -353,7 +343,7 @@ class ApproxNumber:
 
 
 def approx_numbers(
-    u: OperatorSpec, k: int, budget: int = 24, rng: RandomSource | None = None
+    u: OperatorSpec, k: int, budget: int = 24, rng: RandomSource = RandomSource(0)
 ) -> ApproxNumber:
     """k-th approximation number: distance to operators of rank below k.
 
@@ -387,11 +377,9 @@ def approx_numbers(
     r = k - 1
     a = u_left[:, :r] * s[:r][None, :]
     b = vt[:r]
-    best, ok = _norm_bound(m - a @ b, middle, u.target, rng.split(9) if rng else None)
+    best, ok = _norm_bound(m - a @ b, middle, u.target, rng.split(9))
     if r == 0:
         return ApproxNumber(best, "upper-bound" if ok else "search")
-    if rng is None:
-        rng = RandomSource(0, (67,))
     scale = 0.3 * s[0]
     for i in range(max(budget, 0)):
         gen = rng.split(11, i).generator()

@@ -206,8 +206,6 @@ class VolumeEstimate:
 
 
 def _mc_volume(space: QuasiNormedSpace, rng: RandomSource, samples: int) -> VolumeEstimate:
-    if rng is None:
-        raise ValueError("monte-carlo volume needs a RandomSource")
     if samples < _MC_MIN_SAMPLES:
         raise ValueError(f"monte-carlo volume needs at least {_MC_MIN_SAMPLES} samples")
     proposal = mvee_of_ball(space)
@@ -234,27 +232,23 @@ def _mc_volume(space: QuasiNormedSpace, rng: RandomSource, samples: int) -> Volu
 
 
 def volume(
-    obj,
+    obj: QuasiNormedSpace,
     method: str = "auto",
-    rng: RandomSource | None = None,
+    rng: RandomSource = RandomSource(0),
     samples: int = 100_000,
 ) -> VolumeEstimate:
-    """Volume of an ellipsoid or of a space's unit ball.
+    """Volume of a space's unit ball (an ellipsoid's is ``Ellipsoid.volume()``).
 
     ``method`` is one of ``auto``, ``closed-form``, ``triangulation``,
     ``monte-carlo``.  The exact routes are the kind's ``exact_volume``:
-    closed forms for weighted Lp and quadratic balls (and ellipsoids), fan
-    triangulation for polytopes of dim <= 5.  Auto takes that route where
-    the kind has one and rejection sampling inside the enclosing ellipsoid
-    otherwise; asking for a route the kind lacks raises ``ValueError``, as
-    does Monte-Carlo on a ball without an enclosing ellipsoid (Schatten).
+    closed forms for weighted Lp and quadratic balls, fan triangulation
+    for polytopes of dim <= 5.  Auto takes that route where the kind has
+    one and rejection sampling inside the enclosing ellipsoid otherwise;
+    asking for a route the kind lacks raises ``ValueError``, as does
+    Monte-Carlo on a ball without an enclosing ellipsoid (Schatten).
     """
-    if isinstance(obj, Ellipsoid):
-        if method not in ("auto", "closed-form"):
-            raise ValueError("ellipsoid volumes are closed-form only")
-        return VolumeEstimate(obj.volume(), "closed-form")
     if not isinstance(obj, QuasiNormedSpace):
-        raise ValueError("volume needs an Ellipsoid or a QuasiNormedSpace")
+        raise ValueError("volume needs a QuasiNormedSpace")
     if method not in ("auto", "closed-form", "triangulation", "monte-carlo"):
         raise ValueError(f"unknown volume method {method!r}")
     exact = obj.exact_volume() if method != "monte-carlo" else None
@@ -281,7 +275,7 @@ def _volume_root(num: float, den: float, est: VolumeEstimate, d: int) -> tuple[f
 
 
 def vr_star(
-    space: QuasiNormedSpace, rng: RandomSource | None = None, samples: int = 100_000
+    space: QuasiNormedSpace, rng: RandomSource = RandomSource(0), samples: int = 100_000
 ) -> RatioEstimate:
     """Outer volume ratio: (vol enclosing ellipsoid / vol ball) ** (1/dim)."""
     outer = mvee_of_ball(space)
@@ -298,7 +292,7 @@ class SantaloResult:
 
 
 def santalo_check(
-    space: QuasiNormedSpace, rng: RandomSource | None = None, samples: int = 100_000
+    space: QuasiNormedSpace, rng: RandomSource = RandomSource(0), samples: int = 100_000
 ) -> SantaloResult:
     """Polar volume comparison: outer ratio of X at least inner ratio of X*.
 
@@ -317,8 +311,8 @@ def santalo_check(
     dual = space.dual_space()
     d = space.dim
     outer_ell = mvee_of_ball(space)
-    vb = volume(space, "auto", rng.split(0) if rng else None, samples)
-    vd = volume(dual, "auto", rng.split(1) if rng else None, samples)
+    vb = volume(space, "auto", rng.split(0), samples)
+    vd = volume(dual, "auto", rng.split(1), samples)
     outer_value, outer_err = _volume_root(outer_ell.volume(), vb.value, vb, d)
     inner_value, inner_err = _volume_root(vd.value, outer_ell.polar().volume(), vd, d)
     slack = 3.0 * math.hypot(outer_err, inner_err) + 1e-9
@@ -370,7 +364,7 @@ def section_projection_volume_check(space: WeightedLp, subset) -> SplitVolumeRes
 def rhull_volume_defect(
     space: Polytope,
     r: float,
-    rng: RandomSource | None = None,
+    rng: RandomSource = RandomSource(0),
     samples: int = 100_000,
 ) -> RatioEstimate:
     """Volume defect of r-convexifying a polytope's extreme points.

@@ -18,8 +18,8 @@ Config schema (JSON object, all keys optional except ``experiment``):
 ``seed``
     integer master seed (default 0) — every random draw derives from it;
 ``dim, samples, trials, budget``
-    integer knobs; each experiment documents its defaults;
-``tolerance, theta, p, q``
+    positive integer knobs; each experiment documents its defaults;
+``tolerance, theta, p``
     float knobs;
 ``group``
     group string, either comma factors ``"2,2,2"`` or ``"z2^3"``;
@@ -196,7 +196,6 @@ class ExperimentConfig:
     tolerance: float | None = None
     theta: float | None = None
     p: float | None = None
-    q: float | None = None
     group: str | None = None
     output: str | None = None
     extra: dict = field(default_factory=dict)
@@ -207,8 +206,10 @@ class ExperimentConfig:
         for name in ("dim", "samples", "trials", "budget"):
             value = getattr(self, name)
             if value is not None:
+                if int(value) < 1:
+                    raise ValueError(f"{name} must be a positive integer, got {value}")
                 object.__setattr__(self, name, int(value))
-        for name in ("tolerance", "theta", "p", "q"):
+        for name in ("tolerance", "theta", "p"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, float(value))
@@ -230,9 +231,6 @@ class ExperimentConfig:
         kwargs["spaces"] = tuple(kwargs.get("spaces", ()))
         kwargs["extra"] = dict(kwargs.get("extra", {}))
         return cls(**kwargs)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _json_safe(obj):

@@ -63,6 +63,7 @@ from .randsigns import ConstantEstimate, _search_tuples, rademacher_average
 
 _RATIO_DIRECTIONS = 1000  # sampled directions of the equivalence constants
 _OPERATOR_DIRECTIONS = 24  # unit vectors of the interpolated operator check
+_OPERATOR_TOLERANCE = 0.02  # relative slack of the interpolated operator check
 _SUM_RULE_TOLERANCE = 0.02  # relative gap allowed by the quadratic sum rule
 
 
@@ -553,13 +554,13 @@ def interp_operator_bound_check(
     source: NormPair,
     target: NormPair,
     theta: float,
-    rng: RandomSource | None = None,
-    tolerance: float = 0.02,
+    rng: RandomSource = RandomSource(0),
 ) -> OperatorInterpolationResult:
     """Verify that the intermediate-gauge norm of the operator is bounded
     by the geometric mean of its endpoint norms, on the axes and sampled
     directions (``_OPERATOR_DIRECTIONS`` vectors in all), with the default
-    ``ThetaParams(theta)`` quadrature.
+    ``ThetaParams(theta)`` quadrature, within a relative slack of
+    ``_OPERATOR_TOLERANCE`` (2%).
 
     The left side, the largest ratio found, is a lower estimate of the
     true intermediate operator norm.  When ``endpoint_kind`` is ``exact``
@@ -571,8 +572,6 @@ def interp_operator_bound_check(
     """
     m = as_matrix(matrix, rows=target.dim, cols=source.dim)
     params = ThetaParams(theta)
-    if rng is None:
-        rng = RandomSource(0, (47,))
     end0 = op_norm(OperatorSpec(m, source.space0, target.space0), rng=rng.split(0))
     end1 = op_norm(OperatorSpec(m, source.space1, target.space1), rng=rng.split(1))
     n0, n1 = end0.value, end1.value
@@ -587,7 +586,7 @@ def interp_operator_bound_check(
             continue
         lhs = max(lhs, theta_norm(target, params, m @ p).value / denom)
     kind = "exact" if end0.kind == end1.kind == "exact" else "lower-bound"
-    passed = lhs <= rhs * (1.0 + tolerance)
+    passed = lhs <= rhs * (1.0 + _OPERATOR_TOLERANCE)
     return OperatorInterpolationResult(lhs, rhs, n0, n1, kind, passed)
 
 
@@ -620,7 +619,7 @@ def equal_norms_type(
     p: float,
     n: int,
     budget: int = 6,
-    rng: RandomSource | None = None,
+    rng: RandomSource = RandomSource(0),
 ) -> ConstantEstimate:
     """Certified lower bound for the equal-norms variant: the best T with
     ``L2 sign average <= T * N^(1/p) * max_i gauge(x_i)`` over N-tuples."""

@@ -7,9 +7,10 @@ factorable matrices are capped at ``MAX_DENSE_DIM`` per side.
 
 All randomness flows through :class:`RandomSource`, a thin splittable
 wrapper over numpy's counter-based Philox generator.  Randomized routines
-take a source and are pure functions of (seed, split path, parameters), so
-identical configurations reproduce identical numbers and parallel sweeps
-can hand each trial its own split without coordination.
+take a source (``RandomSource(0)`` when the caller leaves it out) and are
+pure functions of (seed, split path, parameters), so identical
+configurations reproduce identical numbers and parallel sweeps can hand
+each trial its own split without coordination.
 """
 
 from __future__ import annotations

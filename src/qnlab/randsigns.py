@@ -65,15 +65,15 @@ def rademacher_average(
     vectors,
     q: float,
     mode: str = "exact",
-    rng: RandomSource | None = None,
+    rng: RandomSource = RandomSource(0),
     samples: int = 10_000,
 ) -> RademacherAverage:
     """q-th power mean of ``gauge(sum_i eps_i x_i)`` over sign patterns.
 
     ``mode='exact'`` enumerates all 2^N patterns (N <= 12, stderr 0);
-    ``mode='sampled'`` draws at least 10_000 patterns and attaches a
-    delta-method standard error (q = inf sampled reports stderr 0 on the
-    max, which is only a lower estimate).
+    ``mode='sampled'`` draws ``samples`` (at least 10_000) patterns from
+    ``rng`` and attaches a delta-method standard error (q = inf sampled
+    reports stderr 0 on the max, which is only a lower estimate).
     """
     V = _as_tuple(vectors, space.dim)
     n = V.shape[0]
@@ -87,8 +87,6 @@ def rademacher_average(
         return RademacherAverage(_power_mean(gauges, q), 0.0, "exact", 2**n)
     if mode != "sampled":
         raise ValueError("mode must be 'exact' or 'sampled'")
-    if rng is None:
-        raise ValueError("sampled mode needs a RandomSource")
     if samples < 10_000:
         raise ValueError("sampled mode needs at least 10_000 patterns")
     signs = 1.0 - 2.0 * rng.generator().integers(0, 2, size=(samples, n))
@@ -165,25 +163,24 @@ def _best_ascent(objective, starts: list[np.ndarray], budget) -> tuple[float, np
 
 
 def _search_tuples(
-    objective, n: int, dim: int, budget: int, rng: RandomSource | None
+    objective, n: int, dim: int, budget: int, rng: RandomSource
 ) -> tuple[float, np.ndarray]:
     """Best N-tuple of vectors in R^dim found by ascent from the coordinate
     vectors, the normalized ones vector repeated, the first axis repeated,
-    and (given a source) max(2, budget) Gaussian tuples."""
+    and max(2, budget) Gaussian tuples drawn from ``rng``."""
     eye = np.eye(dim)
     starts = [
         np.array([eye[i % dim] for i in range(n)]),
         np.ones((n, dim)) / math.sqrt(dim),
         np.tile(eye[0], (n, 1)),
     ]
-    if rng is not None:
-        for i in range(max(2, budget)):
-            starts.append(rng.split(7, i).generator().standard_normal((n, dim)))
+    for i in range(max(2, budget)):
+        starts.append(rng.split(7, i).generator().standard_normal((n, dim)))
     return _best_ascent(objective, starts, 60 * n * dim)
 
 
 def type2_lower(
-    u: OperatorSpec, n: int, budget: int = 8, rng: RandomSource | None = None
+    u: OperatorSpec, n: int, budget: int = 8, rng: RandomSource = RandomSource(0)
 ) -> ConstantEstimate:
     """Certified lower bound for the sign-average domination constant
     ``L2 average of gauge_Y(u x_i sum) <= T * (sum gauge_X(x_i)^2)^(1/2)``
@@ -205,7 +202,7 @@ def type2_lower(
 
 
 def cotype2_lower(
-    u: OperatorSpec, n: int, budget: int = 8, rng: RandomSource | None = None
+    u: OperatorSpec, n: int, budget: int = 8, rng: RandomSource = RandomSource(0)
 ) -> ConstantEstimate:
     """Certified lower bound for the reverse domination constant
     ``(sum gauge_Y(u x_i)^2)^(1/2) <= C * L2 average of gauge_X(x_i sum)``."""
@@ -226,7 +223,7 @@ def cotype2_lower(
 
 
 def kconvexity_lower(
-    u: OperatorSpec, n: int, budget: int = 8, rng: RandomSource | None = None
+    u: OperatorSpec, n: int, budget: int = 8, rng: RandomSource = RandomSource(0)
 ) -> ConstantEstimate:
     """Certified lower bound for the degree-one projection ratio.
 
@@ -262,9 +259,8 @@ def kconvexity_lower(
     # degree-one starts are exact maximizers in the Euclidean case and are
     # only scored; random tables plus entry ascent explore beyond them
     budgets = [0] * len(starts)
-    if rng is not None:
-        for i in range(max(2, budget)):
-            starts.append(rng.split(11, i).generator().standard_normal((m, dx)))
-            budgets.append(40 * m)
+    for i in range(max(2, budget)):
+        starts.append(rng.split(11, i).generator().standard_normal((m, dx)))
+        budgets.append(40 * m)
     value, witness = _best_ascent(objective, starts, budgets)
     return ConstantEstimate(value, "certified-lower-bound", witness)

@@ -212,7 +212,7 @@ def imbalance_lower(
     space: QuasiNormedSpace,
     p: float,
     budget: int = 4,
-    rng: RandomSource | None = None,
+    rng: RandomSource = RandomSource(0),
 ) -> ConstantEstimate:
     """Certified lower bound for the worst moment-comparison imbalance
     ``max(ratio, 1/ratio)`` of ``cp_ratio`` over coefficient tuples, one

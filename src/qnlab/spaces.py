@@ -63,6 +63,7 @@ from .numkernel import (
 
 MAX_ATOMS = 12
 _FEAS_TOL = 1e-9
+_HORN_SLACK = 1e-9  # absolute float slack of horn_check
 
 
 class QuasiNormedSpace:
@@ -617,12 +618,12 @@ class HornResult:
     passed: bool
 
 
-def horn_check(a, b, p: float, k: int, slack: float = 1e-9) -> HornResult:
+def horn_check(a, b, p: float, k: int) -> HornResult:
     """Partial-sum comparison of p-th powers of singular values.
 
     Checks ``sum_{j<=k} s_j(ab)^p <= sum_{j<=k} s_j(a)^p s_j(b)^p`` for
     0 < p <= 1, the quasi-norm analogue of the classical singular value
-    product inequality.
+    product inequality, within an absolute slack of ``_HORN_SLACK``.
     """
     A = as_matrix(a)
     B = as_matrix(b)
@@ -638,7 +639,7 @@ def horn_check(a, b, p: float, k: int, slack: float = 1e-9) -> HornResult:
     s_b = singular_values(B)[:k]
     lhs = float((s_ab**p).sum())
     rhs = float(((s_a * s_b) ** p).sum())
-    return HornResult(lhs, rhs, p, k, lhs <= rhs + slack)
+    return HornResult(lhs, rhs, p, k, lhs <= rhs + _HORN_SLACK)
 
 
 def quotient(space: QuasiNormedSpace, kernel_basis) -> QuasiNormedSpace:

@@ -165,8 +165,7 @@ class TestGaussianMean:
         u = OperatorSpec.identity(EUCLID2)
         with pytest.raises(ValueError):
             gaussian_mean(u, samples=100, rng=RandomSource(1))
-        with pytest.raises(ValueError):
-            gaussian_mean(u, samples=2000)
+        assert gaussian_mean(u, samples=2000) == gaussian_mean(u, samples=2000, rng=RandomSource(0))
         bad = OperatorSpec.identity(WeightedLp.unweighted(1.0, 2))
         with pytest.raises(ValueError, match="Euclidean"):
             gaussian_mean(bad, samples=2000, rng=RandomSource(1))

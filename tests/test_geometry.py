@@ -183,15 +183,17 @@ class TestVolume:
         assert est.stderr > 0
         assert abs(est.value - 4.0) <= 4 * est.stderr + 1e-9
 
-    def test_monte_carlo_needs_rng_and_enough_samples(self):
-        with pytest.raises(ValueError):
-            volume(SQUARE, method="monte-carlo", samples=50_000)
+    def test_monte_carlo_defaults_rng_and_needs_enough_samples(self):
+        default = volume(SQUARE, method="monte-carlo", samples=50_000)
+        assert default == volume(SQUARE, method="monte-carlo", rng=RandomSource(0), samples=50_000)
         with pytest.raises(ValueError, match="at least 10000"):
             volume(SQUARE, method="monte-carlo", rng=RandomSource(1), samples=500)
 
     def test_method_mismatch(self):
         with pytest.raises(ValueError):
             volume(WeightedLp.unweighted(0.5, 2), method="triangulation")
+        with pytest.raises(ValueError, match="needs a QuasiNormedSpace"):
+            volume(Ellipsoid(SPD3))
 
     @pytest.mark.parametrize(
         "space,method",

@@ -79,7 +79,7 @@ class TestExperimentConfig:
             experiment="volume", spaces=("lp p=0.5 dim=2",), seed=3,
             samples=20_000, extra={"note": "x"},
         )
-        assert ExperimentConfig.from_dict(json.loads(cfg.to_json())) == cfg
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -92,6 +92,12 @@ class TestExperimentConfig:
     def test_type_coercion(self):
         cfg = ExperimentConfig(experiment="volume", seed="5", dim="3")
         assert cfg.seed == 5 and cfg.dim == 3
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("name", ["dim", "samples", "trials", "budget"])
+    def test_non_positive_counts_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+            ExperimentConfig(experiment="suite:horn", **{name: value})
 
 
 class TestRegistryAndRuns:

@@ -53,9 +53,9 @@ class TestRademacherAverage:
         )
         assert abs(sampled.value - exact.value) <= 4 * sampled.stderr + 1e-9
 
-    def test_sampled_needs_rng_and_samples(self):
-        with pytest.raises(ValueError):
-            rademacher_average(EUCLID2, np.eye(2), 2.0, mode="sampled")
+    def test_sampled_defaults_rng_and_needs_samples(self):
+        default = rademacher_average(EUCLID2, np.eye(2), 2.0, mode="sampled")
+        assert default == rademacher_average(EUCLID2, np.eye(2), 2.0, mode="sampled", rng=RandomSource(0))
         with pytest.raises(ValueError):
             rademacher_average(EUCLID2, np.eye(2), 2.0, mode="sampled", rng=RandomSource(1), samples=100)
 
