@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import RandomSource, as_matrix, frozen_array, singular_values, spd_power, svd
-from .randsigns import ConstantEstimate, _best_ascent
+from .randsigns import ConstantEstimate, _best_ascent, _guarded_ratio
 from .spaces import OperatorSpec, QuasiNormedSpace, WeightedLp
 from .geometry import mvee_of_ball
 
@@ -43,18 +43,12 @@ def _search_op_norm(u: OperatorSpec, budget: int, rng: RandomSource) -> float:
     m = np.asarray(u.matrix)
     d = u.source.dim
 
-    def objective(x):
-        den = u.source.gauge(x)
-        if den <= 1e-18:
-            return 0.0
-        return u.target.gauge(m @ x) / den
+    def objective(X):
+        den = u.source.gauge_many(X)
+        return _guarded_ratio(u.target.gauge_many(X @ m.T), den, den > 1e-18)
 
-    starts = [np.ones(d)]
-    starts.extend(np.eye(d))
-    starts.extend(-np.eye(d))
-    n_random = max(4, budget // 500)
-    for i in range(n_random):
-        starts.append(rng.split(3, i).generator().standard_normal(d))
+    starts = [np.ones(d), *np.eye(d), *-np.eye(d)]
+    starts += [rng.split(3, i).generator().standard_normal(d) for i in range(max(4, budget // 500))]
     return _best_ascent(objective, starts, max(budget, 60 * d))[0]
 
 
@@ -268,16 +262,12 @@ def envelope_distance(
     envelope: the gauge maximized over the envelope unit sphere."""
     d = space.dim
 
-    def objective(x):
-        env = space.envelope_gauge(x)
-        if env <= 1e-18:
-            return 0.0
-        return space.gauge(x) / env
+    def objective(X):
+        env = space._envelope.gauge_many(X)
+        return _guarded_ratio(space.gauge_many(X), env, env > 1e-18)
 
-    starts = [np.ones(d)]
-    starts.extend(np.eye(d))
-    for i in range(max(budget, 2)):
-        starts.append(np.abs(rng.split(5, i).generator().standard_normal(d)))
+    starts = [np.ones(d), *np.eye(d)]
+    starts += [np.abs(rng.split(5, i).generator().standard_normal(d)) for i in range(max(budget, 2))]
     best_v, best_x = _best_ascent(objective, starts, 80 * d)
     env = space.envelope_gauge(best_x)
     return ConstantEstimate(best_v, "certified-lower-bound", best_x / env)

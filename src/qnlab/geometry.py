@@ -227,7 +227,8 @@ def _mc_volume(space: QuasiNormedSpace, rng: RandomSource, samples: int) -> Volu
         )
     rate = hits / samples
     value = vol_e * rate
-    stderr = vol_e * math.sqrt(max(rate * (1.0 - rate), 0.0) / samples)
+    # at rate 1 the plug-in stderr reads 0; the z = 1 Wilson half-width does not
+    stderr = vol_e * (math.sqrt(rate * (1.0 - rate) / samples) if hits < samples else 0.5 / (samples + 1))
     return VolumeEstimate(value, "monte-carlo", stderr, samples)
 
 

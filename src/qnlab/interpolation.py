@@ -58,7 +58,7 @@ from scipy.optimize import minimize
 from .factorization import op_norm
 from .numkernel import RandomSource, as_matrix, as_vector
 from .spaces import OperatorSpec, QuasiNormedSpace, Quadratic, WeightedLp
-from .randsigns import ConstantEstimate, _search_tuples, rademacher_average
+from .randsigns import ConstantEstimate, _guarded_ratio, _row_gauges, _search_tuples, _sign_averages
 
 
 _RATIO_DIRECTIONS = 1000  # sampled directions of the equivalence constants
@@ -629,12 +629,8 @@ def equal_norms_type(
         raise ValueError("need 1 <= N <= 12")
     scale = n ** (1.0 / p)
 
-    def objective(V):
-        m = float(np.max(space.gauge_many(V)))
-        if m <= 1e-18:
-            return 0.0
-        avg = rademacher_average(space, V, 2.0)
-        return avg.value / (scale * m)
+    def objective(S):
+        m = _row_gauges(space, S).max(axis=-1)
+        return _guarded_ratio(_sign_averages(space, S, 2.0), scale * m, m > 1e-18)
 
-    value, witness = _search_tuples(objective, n, space.dim, budget, rng)
-    return ConstantEstimate(value, "certified-lower-bound", witness)
+    return _search_tuples(objective, n, space.dim, budget, rng)

@@ -8,6 +8,10 @@ vector tuples; the search reports certified lower bounds with an explicit
 witness tuple, refined by coordinate ascent from deterministic and seeded
 random starts.  Re-evaluating the witness reproduces the reported value.
 
+The ascent's objectives are stacked: one call maps a stack of k
+candidates to k values.  It scores moves in batches and charges its budget
+only up to the move it accepts, so its iterates are those of a scalar loop.
+
 Sign pattern convention used everywhere in the package: pattern index j
 has ``eps_i = +1`` when bit i of j is 0 and ``-1`` when it is 1.
 """
@@ -25,6 +29,7 @@ from .spaces import OperatorSpec, QuasiNormedSpace
 
 MAX_EXACT_N = 12
 MAX_PROJECTION_N = 8
+_BATCH_ENTRIES = 1 << 16  # the most candidate entries one ascent batch holds
 
 
 @lru_cache(maxsize=None)
@@ -46,10 +51,26 @@ def _as_tuple(vectors, dim: int) -> np.ndarray:
     return v
 
 
-def _power_mean(values: np.ndarray, q: float) -> float:
+def _power_means(values: np.ndarray, q: float) -> np.ndarray:
+    """q-th power mean along the last axis (np.mean's arithmetic, less its overhead)."""
     if math.isinf(q):
-        return float(values.max())
-    return float(np.mean(values**q) ** (1.0 / q))
+        return values.max(axis=-1)
+    return ((values**q).sum(axis=-1) / values.shape[-1]) ** (1.0 / q)
+
+
+def _row_gauges(space: QuasiNormedSpace, stack: np.ndarray) -> np.ndarray:
+    """Gauges of the vectors along a stack's last axis, in the stack's shape."""
+    return space.gauge_many(stack.reshape(-1, stack.shape[-1])).reshape(stack.shape[:-1])
+
+
+def _sign_averages(space: QuasiNormedSpace, stack: np.ndarray, q: float) -> np.ndarray:
+    """Exact q-th sign averages of every tuple in a ``(k, n, dim)`` stack."""
+    return _power_means(_row_gauges(space, np.matmul(sign_patterns(stack.shape[1]), stack)), q)
+
+
+def _guarded_ratio(num, den, ok: np.ndarray) -> np.ndarray:
+    """``num / den`` where ``ok``, and 0 elsewhere (a vanishing denominator)."""
+    return np.where(ok, num / np.where(ok, den, 1.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -79,12 +100,8 @@ def rademacher_average(
     n = V.shape[0]
     if not (q > 0):
         raise ValueError("q must be positive (math.inf allowed)")
-    if mode == "exact":
-        if n > MAX_EXACT_N:
-            raise ValueError(f"exact enumeration capped at N = {MAX_EXACT_N}")
-        pts = sign_patterns(n) @ V
-        gauges = space.gauge_many(pts)
-        return RademacherAverage(_power_mean(gauges, q), 0.0, "exact", 2**n)
+    if mode == "exact":  # sign_patterns rejects n > MAX_EXACT_N
+        return RademacherAverage(float(_sign_averages(space, V[None], q)[0]), 0.0, "exact", 2**n)
     if mode != "sampled":
         raise ValueError("mode must be 'exact' or 'sampled'")
     if samples < 10_000:
@@ -125,34 +142,44 @@ class ConstantEstimate:
 
 
 def _coordinate_ascent(objective, start: np.ndarray, budget: int) -> tuple[float, np.ndarray]:
-    """Greedy per-entry ascent with a shrinking step; deterministic."""
-    best_v = objective(start)
+    """Greedy per-entry ascent with a shrinking step; deterministic.
+
+    ``objective`` maps a stack ``(k, *start.shape)`` to k values.  A sweep
+    fixes its scales at its start and moves each entry by +step, then
+    -step, from the current best, taking each move that improves by the
+    factor ``1 + 1e-12``; a sweep without one halves the step.  Batches of
+    moves (4 wide, then twice the last batch's charge, at most
+    ``_BATCH_ENTRIES`` entries) are charged up to the accepted move only,
+    so the iterates and charged evaluations are those of a scalar loop."""
     best = start.copy()
-    step = 0.25
-    evals = 0
+    best_v = float(objective(best[None])[0])
+    entries = np.repeat(np.arange(best.size), 2)  # move i changes entry i // 2
+    signs = np.tile([1.0, -1.0], best.size)
+    step, evals, width = 0.25, 0, 4
     while evals < budget and step >= 1e-4:
-        improved = False
-        scales = np.maximum(np.abs(best).max(axis=-1, keepdims=True), 1e-9)
-        for idx in np.ndindex(best.shape):
-            for sign in (1.0, -1.0):
-                if evals >= budget:
-                    break
-                cand = best.copy()
-                cand[idx] += sign * step * float(np.broadcast_to(scales, best.shape)[idx])
-                val = objective(cand)
-                evals += 1
-                if val > best_v * (1.0 + 1e-12):
-                    best_v, best = val, cand
-                    improved = True
+        scales = np.maximum(np.abs(best).max(axis=-1), 1e-9)  # one per last-axis row
+        moves = signs * step * np.repeat(scales, 2 * best.shape[-1])
+        pos, improved = 0, False
+        while pos < entries.size and evals < budget:
+            take = min(width, entries.size - pos, budget - evals, max(1, _BATCH_ENTRIES // best.size))
+            cands = np.repeat(best.reshape(1, -1), take, axis=0)
+            cands[np.arange(take), entries[pos : pos + take]] += moves[pos : pos + take]
+            vals = objective(cands.reshape((take,) + best.shape))
+            better = vals > best_v * (1.0 + 1e-12)
+            j = int(better.argmax())
+            if better[j]:  # the moves past j are discarded uncharged
+                best_v, best, improved, take = float(vals[j]), cands[j].reshape(best.shape), True, j + 1
+            evals, pos, width = evals + take, pos + take, 2 * take
         if not improved:
             step *= 0.5
     return best_v, best
 
 
 def _best_ascent(objective, starts: list[np.ndarray], budget) -> tuple[float, np.ndarray]:
-    """Coordinate ascent from each start in order; the strictly best value
-    found and its point.  ``budget`` is the per-start evaluation budget, or
-    a list of one per start; a start with budget 0 is only scored."""
+    """Coordinate ascent on a stacked objective from each start in order;
+    the strictly best value found and its point.  ``budget`` is the charged
+    budget per start (see ``_coordinate_ascent``), or a list of one per
+    start; a start with budget 0 is only scored."""
     budgets = budget if isinstance(budget, list) else [budget] * len(starts)
     best_v, best = -math.inf, starts[0]
     for s, b in zip(starts, budgets):
@@ -162,21 +189,19 @@ def _best_ascent(objective, starts: list[np.ndarray], budget) -> tuple[float, np
     return best_v, best
 
 
-def _search_tuples(
-    objective, n: int, dim: int, budget: int, rng: RandomSource
-) -> tuple[float, np.ndarray]:
-    """Best N-tuple of vectors in R^dim found by ascent from the coordinate
-    vectors, the normalized ones vector repeated, the first axis repeated,
-    and max(2, budget) Gaussian tuples drawn from ``rng``."""
+def _search_tuples(objective, n: int, dim: int, budget: int, rng: RandomSource) -> ConstantEstimate:
+    """Certified lower bound over N-tuples in R^dim, with its witness: ascent
+    from the coordinate vectors, the normalized ones vector repeated, the
+    first axis repeated, and max(2, budget) Gaussian tuples from ``rng``."""
     eye = np.eye(dim)
     starts = [
         np.array([eye[i % dim] for i in range(n)]),
         np.ones((n, dim)) / math.sqrt(dim),
         np.tile(eye[0], (n, 1)),
     ]
-    for i in range(max(2, budget)):
-        starts.append(rng.split(7, i).generator().standard_normal((n, dim)))
-    return _best_ascent(objective, starts, 60 * n * dim)
+    starts += [rng.split(7, i).generator().standard_normal((n, dim)) for i in range(max(2, budget))]
+    value, witness = _best_ascent(objective, starts, 60 * n * dim)
+    return ConstantEstimate(value, "certified-lower-bound", witness)
 
 
 def type2_lower(
@@ -188,17 +213,15 @@ def type2_lower(
     if not (1 <= n <= MAX_EXACT_N):
         raise ValueError(f"need 1 <= N <= {MAX_EXACT_N}")
 
-    def objective(V):
-        denom_sq = sum(u.source.gauge_many(V) ** 2)
-        if denom_sq <= 1e-18:
-            return 0.0
-        avg = rademacher_average(u.target, V @ np.asarray(u.matrix).T, 2.0)
-        return avg.value / math.sqrt(denom_sq)
+    def objective(S):
+        sq = _row_gauges(u.source, S) ** 2
+        denom_sq = sum(sq[:, i] for i in range(n))  # left to right, as per tuple
+        avg = _sign_averages(u.target, S @ np.asarray(u.matrix).T, 2.0)
+        return _guarded_ratio(avg, np.sqrt(denom_sq), denom_sq > 1e-18)
 
     if not np.any(u.matrix):
         return ConstantEstimate(0.0, "certified-lower-bound", np.zeros((n, u.source.dim)))
-    value, witness = _search_tuples(objective, n, u.source.dim, budget, rng)
-    return ConstantEstimate(value, "certified-lower-bound", witness)
+    return _search_tuples(objective, n, u.source.dim, budget, rng)
 
 
 def cotype2_lower(
@@ -209,17 +232,14 @@ def cotype2_lower(
     if not (1 <= n <= MAX_EXACT_N):
         raise ValueError(f"need 1 <= N <= {MAX_EXACT_N}")
 
-    def objective(V):
-        avg = rademacher_average(u.source, V, 2.0)
-        if avg.value <= 1e-18:
-            return 0.0
-        num_sq = sum(u.target.gauge_many(u.apply_many(V)) ** 2)
-        return math.sqrt(num_sq) / avg.value
+    def objective(S):
+        avg = _sign_averages(u.source, S, 2.0)
+        sq = _row_gauges(u.target, S @ np.asarray(u.matrix).T) ** 2
+        return _guarded_ratio(np.sqrt(sum(sq[:, i] for i in range(n))), avg, avg > 1e-18)
 
     if not np.any(u.matrix):
         return ConstantEstimate(0.0, "certified-lower-bound", np.zeros((n, u.source.dim)))
-    value, witness = _search_tuples(objective, n, u.source.dim, budget, rng)
-    return ConstantEstimate(value, "certified-lower-bound", witness)
+    return _search_tuples(objective, n, u.source.dim, budget, rng)
 
 
 def kconvexity_lower(
@@ -240,27 +260,18 @@ def kconvexity_lower(
     dx = u.source.dim
 
     def objective(F):
-        denom = math.sqrt(float(np.mean(u.source.gauge_many(F) ** 2)))
-        if denom <= 1e-18:
-            return 0.0
-        images = F @ np.asarray(u.matrix).T
-        coeffs = (pats.T @ images) / m  # n x target_dim
-        proj = pats @ coeffs
-        num = math.sqrt(float(np.mean(u.target.gauge_many(proj) ** 2)))
-        return num / denom
+        denom = _power_means(_row_gauges(u.source, F), 2.0)
+        coeffs = (pats.T @ (F @ np.asarray(u.matrix).T)) / m  # k x n x target_dim
+        num = _power_means(_row_gauges(u.target, pats @ coeffs), 2.0)
+        return _guarded_ratio(num, denom, denom > 1e-18)
 
-    starts = []
     eye = np.eye(dx)
-    for j in range(dx):
-        for i in range(n):
-            starts.append(np.outer(pats[:, i], eye[j]))
+    starts = [np.outer(pats[:, i], eye[j]) for j in range(dx) for i in range(n)]
     if not np.any(u.matrix):
         return ConstantEstimate(0.0, "certified-lower-bound", np.zeros((m, dx)))
     # degree-one starts are exact maximizers in the Euclidean case and are
     # only scored; random tables plus entry ascent explore beyond them
-    budgets = [0] * len(starts)
-    for i in range(max(2, budget)):
-        starts.append(rng.split(11, i).generator().standard_normal((m, dx)))
-        budgets.append(40 * m)
+    budgets = [0] * len(starts) + [40 * m] * max(2, budget)
+    starts += [rng.split(11, i).generator().standard_normal((m, dx)) for i in range(max(2, budget))]
     value, witness = _best_ascent(objective, starts, budgets)
     return ConstantEstimate(value, "certified-lower-bound", witness)

@@ -33,9 +33,11 @@ from .numkernel import RandomSource, frozen_array
 from .randsigns import (
     ConstantEstimate,
     _as_tuple,
-    _power_mean,
+    _guarded_ratio,
+    _power_means,
+    _row_gauges,
     _search_tuples,
-    rademacher_average,
+    _sign_averages,
 )
 from .spaces import QuasiNormedSpace
 
@@ -173,6 +175,14 @@ class CpRatio:
     ratio: float
 
 
+def _group_moments(space: QuasiNormedSpace, re, im, stack: np.ndarray, p: float) -> np.ndarray:
+    """Group-side p-th moments of each tuple in a ``(k, n, dim)`` stack."""
+    gauges = _row_gauges(space, np.matmul(re, stack))
+    if np.any(im):
+        gauges = np.maximum(gauges, _row_gauges(space, np.matmul(im, stack)))
+    return _power_means(gauges, p)
+
+
 def cp_ratio(
     group: FiniteAbelianGroup,
     chars,
@@ -194,16 +204,11 @@ def cp_ratio(
         raise ValueError("need exactly one coefficient vector per character")
     if not (p > 0):
         raise ValueError("p must be positive (math.inf allowed)")
-    re, im = character_matrix(group, chars)
-    if np.any(im):
-        gauges = np.maximum(space.gauge_many(re @ V), space.gauge_many(im @ V))
-    else:
-        gauges = space.gauge_many(re @ V)
-    group_side = _power_mean(gauges, p)
-    rad = rademacher_average(space, V, p)
-    if rad.value <= 0:
+    group_side = float(_group_moments(space, *character_matrix(group, chars), V[None], p)[0])
+    rad = float(_sign_averages(space, V[None], p)[0])
+    if rad <= 0:
         raise ValueError("sign-average side vanished; ratio undefined")
-    return CpRatio(group_side, rad.value, group_side / rad.value)
+    return CpRatio(group_side, rad, group_side / rad)
 
 
 def imbalance_lower(
@@ -217,19 +222,14 @@ def imbalance_lower(
     """Certified lower bound for the worst moment-comparison imbalance
     ``max(ratio, 1/ratio)`` of ``cp_ratio`` over coefficient tuples, one
     vector per character, with the maximizing witness tuple."""
-    chars = tuple(chars)
-    n = len(chars)
+    if not (p > 0):
+        raise ValueError("p must be positive (math.inf allowed)")
+    re, im = character_matrix(group, chars)
 
-    def objective(V):
-        if space.gauge_many(V).max() <= 1e-12:
-            return 0.0
-        try:
-            res = cp_ratio(group, chars, space, p, V)
-        except ValueError:
-            return 0.0
-        if res.ratio <= 0:
-            return 0.0
-        return max(res.ratio, 1.0 / res.ratio)
+    def objective(S):
+        rad = _sign_averages(space, S, p)
+        live = (_row_gauges(space, S).max(axis=-1) > 1e-12) & (rad > 0)
+        ratio = _guarded_ratio(_group_moments(space, re, im, S, p), rad, live)
+        return np.maximum(ratio, _guarded_ratio(1.0, ratio, ratio > 0))
 
-    value, witness = _search_tuples(objective, n, space.dim, budget, rng)
-    return ConstantEstimate(value, "certified-lower-bound", witness)
+    return _search_tuples(objective, re.shape[1], space.dim, budget, rng)

@@ -71,7 +71,9 @@ class QuasiNormedSpace:
     on validated rows; the scalar, batched and envelope gauges derive from
     it here.  ``gauge(x)`` equals ``gauge_many(x[None])[0]`` bit for bit;
     a row inside a larger batch can differ from it in the last bits, since
-    matrix products sum in an order that depends on the batch size."""
+    matrix products sum in an order that depends on the batch size.  So a
+    searched constant, scored in batches, can differ in those bits from its
+    witness re-evaluated alone."""
 
     dim: int
 

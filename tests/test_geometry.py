@@ -183,6 +183,13 @@ class TestVolume:
         assert est.stderr > 0
         assert abs(est.value - 4.0) <= 4 * est.stderr + 1e-9
 
+    def test_monte_carlo_stderr_positive_when_every_draw_hits(self):
+        # the enclosing ellipsoid of a quadratic ball is the ball itself
+        space = Quadratic(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        est = volume(space, "monte-carlo", RandomSource(9), 10_000)
+        assert est.value == pytest.approx(mvee_of_ball(space).volume(), rel=1e-12)
+        assert est.stderr == pytest.approx(est.value / (2 * 10_001), rel=1e-12)
+
     def test_monte_carlo_defaults_rng_and_needs_enough_samples(self):
         default = volume(SQUARE, method="monte-carlo", samples=50_000)
         assert default == volume(SQUARE, method="monte-carlo", rng=RandomSource(0), samples=50_000)

@@ -1,22 +1,29 @@
 """Sign-vector averages and the constants built from them."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnlab import randsigns
 from qnlab.numkernel import RandomSource
 from qnlab.randsigns import (
     _best_ascent,
+    _coordinate_ascent,
     cotype2_lower,
     kconvexity_lower,
     khintchine_ratio,
     rademacher_average,
+    sign_patterns,
     type2_lower,
 )
-from qnlab.spaces import OperatorSpec, WeightedLp
+from qnlab.factorization import envelope_distance
+from qnlab.interpolation import equal_norms_type
+from qnlab.sidon import FiniteAbelianGroup, all_characters, character_matrix, imbalance_lower
+from qnlab.spaces import OperatorSpec, Polytope, RConvexAtoms, Schatten, WeightedLp
 
 EUCLID2 = WeightedLp.euclidean(2)
 EUCLID3 = WeightedLp.euclidean(3)
@@ -138,15 +145,15 @@ class TestTypeCotypeConstants:
             assert est.value >= 1 - 1e-9
 
     def test_search_keeps_first_strict_best(self):
-        def objective(x):
-            return 1.0 / (1.0 + abs(float(x[0]) - 1.0))
+        def objective(xs):
+            return 1.0 / (1.0 + np.abs(xs[:, 0] - 1.0))
 
         starts = [np.array([0.5, 0.0]), np.array([1.0, 7.0]), np.array([1.0, 9.0])]
         # budget 0 only scores each start; ties keep the earlier start
         value, best = _best_ascent(objective, starts, 0)
         assert value == 1.0 and np.array_equal(best, [1.0, 7.0])
         value, best = _best_ascent(objective, starts[:1], [40])
-        assert 1.0 / 1.5 < value == objective(best)
+        assert 1.0 / 1.5 < value == objective(best[None])[0]
 
     def test_size_validation(self):
         u = OperatorSpec.identity(EUCLID2)
@@ -156,3 +163,133 @@ class TestTypeCotypeConstants:
             type2_lower(u, n=13)
         with pytest.raises(ValueError):
             kconvexity_lower(u, n=9)
+
+
+def _scalar_ascent(objective, start, budget):
+    """Coordinate ascent scoring one candidate per objective call: the loop
+    whose iterates the batched ``_coordinate_ascent`` must reproduce."""
+    best_v = objective(start)
+    best = start.copy()
+    step = 0.25
+    evals = 0
+    while evals < budget and step >= 1e-4:
+        improved = False
+        scales = np.maximum(np.abs(best).max(axis=-1, keepdims=True), 1e-9)
+        for idx in np.ndindex(best.shape):
+            for sign in (1.0, -1.0):
+                if evals >= budget:
+                    break
+                cand = best.copy()
+                cand[idx] += sign * step * float(np.broadcast_to(scales, best.shape)[idx])
+                val = objective(cand)
+                evals += 1
+                if val > best_v * (1.0 + 1e-12):
+                    best_v, best = val, cand
+                    improved = True
+        if not improved:
+            step *= 0.5
+    return best_v, best
+
+
+@st.composite
+def _ascent_cases(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    entries = st.lists(st.floats(-3.0, 3.0), min_size=rows * cols, max_size=rows * cols)
+    start = np.array(draw(entries)).reshape(rows, cols)
+    target = np.array(draw(entries)).reshape(rows, cols)
+    # coarse levels give plateaus, the cap a flat top, the L1 distance ties
+    levels = draw(st.sampled_from([0, 1, 3, 50]))
+    cap = draw(st.sampled_from([math.inf, 0.9, 0.3]))
+
+    def value(x):
+        v = min(math.exp(-float(np.abs(x - target).sum())), cap)
+        return math.floor(v * levels) / levels if levels else v
+
+    # small entry caps narrow the batches below their doubling width
+    return start, value, draw(st.integers(0, 200)), draw(st.sampled_from([randsigns._BATCH_ENTRIES, 1, 5]))
+
+
+class TestCoordinateAscent:
+    @given(_ascent_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_batched_sweeps_keep_the_scalar_iterates(self, case):
+        start, value, budget, entry_cap = case
+        scalar_seen, batched_seen = [], []
+
+        def scalar(x):
+            scalar_seen.append(x.tobytes())
+            return value(x)
+
+        def batched(xs):
+            batched_seen.extend(x.tobytes() for x in xs)
+            return np.array([value(x) for x in xs])
+
+        want_v, want = _scalar_ascent(scalar, start, budget)
+        with mock.patch.object(randsigns, "_BATCH_ENTRIES", entry_cap):
+            got_v, got = _coordinate_ascent(batched, start, budget)
+        assert got_v == want_v
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # every candidate the scalar loop scores is scored in the same order;
+        # the batches only add the uncharged moves past each accepted one
+        rest = iter(batched_seen)
+        assert all(any(x == y for y in rest) for x in scalar_seen)
+
+
+_SKEWED_FRAME = np.array([[1.0, 0.2, 0.0], [0.3, 1.0, 0.1], [0.0, 0.4, 1.2]])
+_KINDS = [
+    WeightedLp(0.7, np.array([1.0, 2.5])),
+    Polytope(np.vstack([_SKEWED_FRAME, -_SKEWED_FRAME])),
+    Schatten(0.5, 2, 2),
+    RConvexAtoms(np.array([[1.0, 0.0], [0.6, 0.8], [-0.2, 1.0]]), 0.5),
+]
+
+
+def _scalar_gauges(space, rows):
+    return np.array([space.gauge(x) for x in rows])
+
+
+@pytest.mark.parametrize("space", _KINDS, ids=lambda sp: type(sp).__name__)
+class TestWitnessesReproduceOneTupleAtATime:
+    """Each certified constant's witness, re-evaluated through the public
+    one-tuple route (``rademacher_average`` and scalar gauges), gives the
+    reported value, whatever batches the search scored it in."""
+
+    def test_type_cotype_and_projection(self, space):
+        u = OperatorSpec.identity(space)
+        m = np.asarray(u.matrix)
+        est = type2_lower(u, n=2, budget=1, rng=RandomSource(21))
+        W = est.witness
+        num = rademacher_average(space, W @ m.T, 2.0).value
+        assert num / math.sqrt(sum(_scalar_gauges(space, W) ** 2)) == pytest.approx(est.value, rel=1e-12)
+        est = cotype2_lower(u, n=2, budget=1, rng=RandomSource(22))
+        W = est.witness
+        num = math.sqrt(sum(_scalar_gauges(space, W @ m.T) ** 2))
+        assert num / rademacher_average(space, W, 2.0).value == pytest.approx(est.value, rel=1e-12)
+        est = kconvexity_lower(u, n=2, budget=1, rng=RandomSource(23))
+        F, pats = est.witness, sign_patterns(2)
+        proj = pats @ ((pats.T @ (F @ m.T)) / 4)
+        num = math.sqrt(float(np.mean(_scalar_gauges(space, proj) ** 2)))
+        den = math.sqrt(float(np.mean(_scalar_gauges(space, F) ** 2)))
+        assert num / den == pytest.approx(est.value, rel=1e-12)
+
+    def test_equal_norms_type(self, space):
+        est = equal_norms_type(space, 1.5, 3, budget=1, rng=RandomSource(24))
+        W = est.witness
+        den = 3 ** (1 / 1.5) * _scalar_gauges(space, W).max()
+        assert rademacher_average(space, W, 2.0).value / den == pytest.approx(est.value, rel=1e-12)
+
+    def test_imbalance_on_complex_characters(self, space):
+        group = FiniteAbelianGroup((3,))
+        chars = all_characters(group)
+        est = imbalance_lower(group, chars, space, 1.5, budget=1, rng=RandomSource(25))
+        W = est.witness
+        re, im = character_matrix(group, chars)
+        sums = np.maximum(_scalar_gauges(space, re @ W), _scalar_gauges(space, im @ W))
+        ratio = float(np.mean(sums**1.5)) ** (1 / 1.5) / rademacher_average(space, W, 1.5).value
+        assert max(ratio, 1 / ratio) == pytest.approx(est.value, rel=1e-12)
+
+    def test_envelope_distance(self, space):
+        est = envelope_distance(space, budget=2, rng=RandomSource(26))
+        w = est.witness
+        assert space.envelope_gauge(w) == pytest.approx(1.0, rel=1e-12)
+        assert space.gauge(w) / space.envelope_gauge(w) == pytest.approx(est.value, rel=1e-12)
