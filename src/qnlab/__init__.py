@@ -17,6 +17,7 @@ from .spaces import (
     WeightedLp,
     coordinate_section,
     horn_check,
+    horn_check_many,
     quotient,
 )
 from .geometry import (

@@ -30,8 +30,9 @@ Exact facts used below and enforced by the test suite:
 
 * a minimizing decomposition of ``x`` over atoms for an r-gauge (r <= 1)
   can be taken with support of size at most ``dim`` (basic solutions of the
-  constraint system), so atom gauges are computed by exhaustive enumeration
-  of small subsets;
+  constraint system) and with no two atoms equal up to sign (r-triangle
+  inequality), so atom gauges are computed by exhaustive enumeration of
+  small subsets of the atoms taken once up to sign;
 * the convex envelope of a weighted Lp ball with p < 1 is the weighted
   crosspolytope spanned by the per-axis extreme points, so envelope and
   dual spaces of those spaces have closed forms.
@@ -50,6 +51,7 @@ from scipy.spatial import ConvexHull
 from scipy.special import gammaln
 
 from .numkernel import (
+    MAX_DENSE_DIM,
     DegenerateMatrixError,
     as_matrix,
     as_spd,
@@ -58,7 +60,6 @@ from .numkernel import (
     frozen_array,
     orthonormal_complement,
     require_symmetric_rows,
-    singular_values,
 )
 
 MAX_ATOMS = 12
@@ -518,11 +519,15 @@ class RConvexAtoms(QuasiNormedSpace):
     """r-convex hull of at most 12 spanning atoms, 0 < r <= 1.
 
     ``gauge(x) = min (sum |lam_i|^r)^(1/r)`` over decompositions
-    ``x = sum lam_i a_i``.  A minimizer is supported on at most ``dim``
-    atoms, so the gauge is computed exactly by enumerating index subsets of
-    size <= dim and solving each linear system.  The envelope is the
-    :class:`Polytope` of the atoms and their negatives, so envelope gauges
-    read its facets for dim <= 5 and solve its LP above that.
+    ``x = sum lam_i a_i`` with signed lam.  A minimizer is supported on at
+    most ``dim`` atoms, and it needs no atom twice up to sign: since
+    ``|s|^r + |t|^r >= |s + t|^r`` for r <= 1, adding a copy or the negative
+    of an atom never lowers the value.  So the gauge is computed exactly by
+    enumerating subsets of size <= dim of the atoms taken once up to sign
+    (the first of any exact copies or negatives stands for them all) and
+    solving each linear system.  The envelope is the :class:`Polytope` of
+    the atoms and their negatives, so envelope gauges read its facets for
+    dim <= 5 and solve its LP above that.
     """
 
     atoms: np.ndarray
@@ -550,28 +555,29 @@ class RConvexAtoms(QuasiNormedSpace):
         return self.r
 
     @cached_property
-    def _subset_solvers(self) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
-        # (indices, pinv of the (d x |S|) atom block, the block itself)
+    def _subset_solvers(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        # (pinv of the (d x |S|) atom block, the block itself); see the docstring
         a = np.asarray(self.atoms)
-        m, d = a.shape
+        signed = [i for i, v in enumerate(a) if not any(
+            np.array_equal(v, a[j]) or np.array_equal(v, -a[j]) for j in range(i))]
         out = []
-        for size in range(1, min(m, d) + 1):
-            for idx in itertools.combinations(range(m), size):
+        for size in range(1, min(len(signed), self.dim) + 1):
+            for idx in itertools.combinations(signed, size):
                 block = a[list(idx)].T  # d x size
-                out.append((idx, np.linalg.pinv(block), block))
+                out.append((np.linalg.pinv(block), block))
         return out
 
     def _gauge_rows(self, pts: np.ndarray) -> np.ndarray:
-        n = pts.shape[0]
-        scale = np.maximum(1.0, np.abs(pts).max(axis=1))
-        best = np.full(n, np.inf)
-        for _, pinv, block in self._subset_solvers:
-            lam = pts @ pinv.T  # n x |S|
-            resid = np.abs(lam @ block.T - pts).max(axis=1)
-            vals = (np.abs(lam) ** self.r).sum(axis=1) ** (1.0 / self.r)
+        # columns, so each reduction runs across rows of an (|S|, n) array
+        P = pts.T
+        scale = np.maximum(1.0, np.abs(P).max(axis=0))
+        best = np.full(P.shape[1], np.inf)
+        for pinv, block in self._subset_solvers:
+            lam = pinv @ P  # |S| x n
+            resid = np.abs(block @ lam - P).max(axis=0)
+            vals = (np.abs(lam) ** self.r).sum(axis=0) ** (1.0 / self.r)
             ok = resid <= _FEAS_TOL * scale
             best = np.where(ok & (vals < best), vals, best)
-        best = np.where(np.abs(pts).max(axis=1) == 0.0, 0.0, best)
         if np.any(np.isinf(best)):
             raise RuntimeError("no feasible decomposition found (atoms degenerate?)")
         return best
@@ -607,9 +613,6 @@ class OperatorSpec:
     def identity(cls, space: QuasiNormedSpace) -> "OperatorSpec":
         return cls(np.eye(space.dim), space, space)
 
-    def apply_many(self, points) -> np.ndarray:
-        return as_matrix(points, cols=self.source.dim) @ np.asarray(self.matrix).T
-
 
 @dataclass(frozen=True)
 class HornResult:
@@ -620,28 +623,34 @@ class HornResult:
     passed: bool
 
 
-def horn_check(a, b, p: float, k: int) -> HornResult:
-    """Partial-sum comparison of p-th powers of singular values.
-
-    Checks ``sum_{j<=k} s_j(ab)^p <= sum_{j<=k} s_j(a)^p s_j(b)^p`` for
-    0 < p <= 1, the quasi-norm analogue of the classical singular value
-    product inequality, within an absolute slack of ``_HORN_SLACK``.
-    """
-    A = as_matrix(a)
-    B = as_matrix(b)
-    if A.shape[1] != B.shape[0]:
-        raise ValueError("shapes do not compose")
+def horn_check_many(a_stack, b_stack, p: float, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partial-sum comparisons of p-th powers of singular values on stacks
+    ``(n, m, q)`` and ``(n, q, r)`` of pairs, at every k' <= k: checks
+    ``sum_{j<=k'} s_j(ab)^p <= sum_{j<=k'} s_j(a)^p s_j(b)^p`` for
+    0 < p <= 1, the quasi-norm analogue of Horn's singular value product
+    inequality, within an absolute slack of ``_HORN_SLACK``.  Returns
+    ``lhs``, ``rhs`` and ``passed``, each ``(n, k)``, column k' - 1 for k'."""
+    A, B = np.asarray(a_stack, dtype=float), np.asarray(b_stack, dtype=float)
+    if A.ndim != 3 or B.ndim != 3 or len(A) != len(B) or A.shape[2] != B.shape[1]:
+        raise ValueError(f"stacks of shapes {A.shape} and {B.shape} do not compose")
+    if not (np.isfinite(A).all() and np.isfinite(B).all()) or max(A.shape[1:] + B.shape[2:]) > MAX_DENSE_DIM:
+        raise ValueError(f"matrices must be finite and at most {MAX_DENSE_DIM} per side")
     if not (0 < p <= 1):
         raise ValueError("p must lie in (0, 1]")
-    kmax = min(A.shape[0], A.shape[1], B.shape[1])
+    kmax = min(A.shape[1], A.shape[2], B.shape[2])
     if not (1 <= k <= kmax):
         raise ValueError(f"k must lie in [1, {kmax}]")
-    s_ab = singular_values(A @ B)[:k]
-    s_a = singular_values(A)[:k]
-    s_b = singular_values(B)[:k]
-    lhs = float((s_ab**p).sum())
-    rhs = float(((s_a * s_b) ** p).sum())
-    return HornResult(lhs, rhs, p, k, lhs <= rhs + _HORN_SLACK)
+    # bit for bit as one pair: compute_uv=False, or a cumsum over k', rounds differently
+    s_ab, s_a, s_b = (np.linalg.svd(m, full_matrices=False)[1][:, :k] for m in (A @ B, A, B))
+    v = np.stack([s_ab**p, (s_a * s_b) ** p])
+    lhs, rhs = np.stack([v[..., :j].sum(axis=-1) for j in range(1, k + 1)], axis=-1)
+    return lhs, rhs, lhs <= rhs + _HORN_SLACK
+
+
+def horn_check(a, b, p: float, k: int) -> HornResult:
+    """:func:`horn_check_many` on one pair, at k alone."""
+    lhs, rhs, passed = horn_check_many(as_matrix(a)[None], as_matrix(b)[None], p, k)
+    return HornResult(float(lhs[0, -1]), float(rhs[0, -1]), p, k, bool(passed[0, -1]))
 
 
 def quotient(space: QuasiNormedSpace, kernel_basis) -> QuasiNormedSpace:

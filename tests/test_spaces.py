@@ -18,6 +18,7 @@ from qnlab.spaces import (
     WeightedLp,
     coordinate_section,
     horn_check,
+    horn_check_many,
     quotient,
 )
 
@@ -33,6 +34,27 @@ def lp_gauge(atoms, x):
     res = linprog(np.ones(2 * m), A_eq=np.hstack([a.T, -a.T]), b_eq=x, bounds=(0, None), method="highs")
     assert res.status == 0
     return float(res.fun)
+
+
+def brute_atom_gauge(atoms, r, x):
+    """Reference r-convex atom gauge: the least ``(sum |lam|^r)^(1/r)`` over
+    the least-norm solutions of ``x = block @ lam`` for every nonempty
+    subset of the atoms, copies and negatives included."""
+    a = np.asarray(atoms, dtype=float)
+    best = math.inf
+    for mask in range(1, 2 ** len(a)):
+        block = a[[i for i in range(len(a)) if mask >> i & 1]].T
+        lam = np.linalg.pinv(block) @ x
+        if np.abs(block @ lam - x).max() <= 1e-9 * max(1.0, np.abs(x).max()):
+            best = min(best, float((np.abs(lam) ** r).sum() ** (1.0 / r)))
+    return best
+
+
+def horn_reference(a, b, p, k):
+    """One pair at one k, one SVD per matrix: the loop that
+    ``horn_check_many`` stacks."""
+    s_ab, s_a, s_b = (np.linalg.svd(m, full_matrices=False)[1][:k] for m in (a @ b, a, b))
+    return float((s_ab**p).sum()), float(((s_a * s_b) ** p).sum())
 
 
 def finite_vectors(dim, lo=-4.0, hi=4.0):
@@ -233,6 +255,29 @@ class TestPolytopeAndAtoms:
         with pytest.raises(ValueError):
             Polytope(np.array([[1.0, 0.0], [-1.0, 0.0]]))  # does not span
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.integers(0, 3),
+        st.sampled_from([0.3, 0.5, 1.0]),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 7), st.integers(0, 8)), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gauge_ignores_copies_and_negatives_of_atoms(self, seed, dim, extra, r, dups):
+        gen = RandomSource(seed).generator()
+        base = gen.standard_normal((dim + extra, dim))
+        atoms = base.copy()
+        for negate, src, pos in dups:  # insert copies or negatives anywhere
+            row = atoms[src % len(atoms)]
+            atoms = np.insert(atoms, pos % (len(atoms) + 1), -row if negate else row, axis=0)
+        plain, padded = RConvexAtoms(base, r), RConvexAtoms(atoms, r)
+        pts = np.vstack([gen.standard_normal((2, dim)), 2.5 * base[:1], np.zeros((1, dim))])
+        got = padded.gauge_many(pts)
+        assert got == pytest.approx(plain.gauge_many(pts), rel=1e-12, abs=0)
+        assert got == pytest.approx([brute_atom_gauge(atoms, r, x) for x in pts], rel=1e-12, abs=0)
+        for x in pts:
+            assert padded.gauge(x) == padded.gauge_many(x[None])[0]
+
     def test_atoms_validation(self):
         with pytest.raises(ValueError):
             RConvexAtoms(np.eye(2), 1.5)
@@ -271,8 +316,8 @@ class TestOperators:
         sp = WeightedLp.euclidean(3)
         u = OperatorSpec.identity(sp)
         x = np.array([1.0, -2.0, 0.5])
-        assert np.array_equal(u.apply_many(x[None])[0], x)
-        assert np.array_equal(u.apply_many(np.vstack([x, 2 * x]))[1], 2 * x)
+        assert np.array_equal((x[None] @ u.matrix.T)[0], x)
+        assert np.array_equal((np.vstack([x, 2 * x]) @ u.matrix.T)[1], 2 * x)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -296,11 +341,54 @@ class TestHornCheck:
                 for k in (1, 2, 3):
                     assert horn_check(a, b, p, k).passed
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.integers(1, 12),
+        st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_many_matches_each_pair_bit_for_bit(self, seed, n, side, grow, p):
+        # every k up to 12, so pairwise sums of 8 or more terms are covered
+        m, q, r = (min(12, side + g) for g in grow)
+        gen = RandomSource(seed).generator()
+        a, b = gen.standard_normal((n, m, q)), gen.standard_normal((n, q, r))
+        kmax = min(m, q, r)
+        lhs, rhs, passed = horn_check_many(a, b, p, kmax)
+        assert lhs.shape == rhs.shape == passed.shape == (n, kmax)
+        for k in range(1, kmax + 1):
+            assert np.array_equal(horn_check_many(a, b, p, k)[0], lhs[:, :k])
+            for i in range(n):
+                one = horn_check(a[i], b[i], p, k)
+                assert (one.lhs, one.rhs) == horn_reference(a[i], b[i], p, k)
+                assert (lhs[i, k - 1], rhs[i, k - 1], passed[i, k - 1]) == (one.lhs, one.rhs, one.passed)
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            horn_check(np.eye(2), np.eye(2), 1.5, 1)
-        with pytest.raises(ValueError):
-            horn_check(np.eye(2), np.eye(2), 1.0, 0)
+        # horn_check too raises on every bad pair: p, k, non-finite entries, sides
+        eye = np.eye(2)
+        bad = [
+            (eye[None], eye[None], 0.0, 1),  # p outside (0, 1]
+            (eye[None], eye[None], 1.5, 1),
+            (eye[None], eye[None], math.nan, 1),
+            (eye[None], eye[None], 1.0, 0),  # k outside [1, kmax]
+            (eye[None], eye[None], 1.0, 3),
+            (np.ones((1, 2, 3)), np.ones((1, 3, 1)), 0.5, 2),
+            (eye, eye, 1.0, 1),  # not stacks
+            (eye[None], np.stack([eye, eye]), 1.0, 1),  # stack lengths differ
+            (np.ones((1, 2, 3)), np.ones((1, 2, 3)), 1.0, 1),  # inner sides differ
+            (np.array([[[1.0, math.nan], [0.0, 1.0]]]), eye[None], 1.0, 1),
+            (eye[None], np.array([[[1.0, math.inf], [0.0, 1.0]]]), 1.0, 1),
+            (np.ones((1, 33, 2)), np.ones((1, 2, 2)), 1.0, 1),  # sides above 32
+            (np.ones((1, 2, 33)), np.ones((1, 33, 2)), 1.0, 1),
+            (np.ones((1, 2, 2)), np.ones((1, 2, 33)), 1.0, 1),
+        ]
+        for a, b, p, k in bad:
+            with pytest.raises(ValueError):
+                horn_check_many(a, b, p, k)
+            if a.ndim == b.ndim == 3 and len(a) == len(b) == 1:
+                with pytest.raises(ValueError):
+                    horn_check(a[0], b[0], p, k)
 
 
 class TestQuotientsAndSections:
