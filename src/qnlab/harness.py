@@ -739,9 +739,9 @@ def _run_suite_horn(config: ExperimentConfig):
     pairs = np.empty((trials, 2, 4, 4))
     for i in range(trials):  # the pair (a, b) of split i, a drawn first
         pairs[i] = rng.split(16, i).generator().standard_normal((2, 4, 4))
-    results = [spaces.horn_check_many(pairs[:, 0], pairs[:, 1], p, 4) for p in (1.0 / 3.0, 0.5, 1.0)]
-    failures = sum(int(np.count_nonzero(~passed)) for _, _, passed in results)
-    min_margin = min(float((rhs - lhs).min()) for lhs, rhs, _ in results)
+    lhs, rhs, passed = spaces.horn_check_many(pairs[:, 0], pairs[:, 1], (1.0 / 3.0, 0.5, 1.0), 4)
+    failures = int(np.count_nonzero(~passed))
+    min_margin = float((rhs - lhs).min())
     checks = 12 * trials
     records = [{"pairs": trials, "checks": checks, "failures": failures, "min_margin": min_margin}]
     verdicts = [

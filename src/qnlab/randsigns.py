@@ -8,9 +8,9 @@ vector tuples; the search reports certified lower bounds with an explicit
 witness tuple, refined by coordinate ascent from deterministic and seeded
 random starts.  Re-evaluating the witness reproduces the reported value.
 
-The ascent's objectives are stacked: one call maps a stack of k
-candidates to k values.  It scores moves in batches and charges its budget
-only up to the move it accepts, so its iterates are those of a scalar loop.
+The ascent's objectives are stacked: one call maps a stack of k candidates
+to k values.  Each round scores every live start's moves in one call, charged
+only up to the accepted move, so each start's iterates are a scalar loop's.
 
 Sign pattern convention used everywhere in the package: pattern index j
 has ``eps_i = +1`` when bit i of j is 0 and ``-1`` when it is 1.
@@ -141,18 +141,17 @@ class ConstantEstimate:
         object.__setattr__(self, "witness", w)
 
 
-def _coordinate_ascent(objective, start: np.ndarray, budget: int) -> tuple[float, np.ndarray]:
-    """Greedy per-entry ascent with a shrinking step; deterministic.
-
-    ``objective`` maps a stack ``(k, *start.shape)`` to k values.  A sweep
-    fixes its scales at its start and moves each entry by +step, then
-    -step, from the current best, taking each move that improves by the
-    factor ``1 + 1e-12``; a sweep without one halves the step.  Batches of
-    moves (4 wide, then twice the last batch's charge, at most
-    ``_BATCH_ENTRIES`` entries) are charged up to the accepted move only,
-    so the iterates and charged evaluations are those of a scalar loop."""
+def _ascent(start: np.ndarray, budget: int):
+    """Greedy per-entry ascent from one start, as a generator that yields
+    each candidate stack ``(k, *start.shape)``, is sent its k values and
+    returns ``(value, point)``.  A sweep fixes its scales at its start and
+    moves each entry by +step, then -step, from the current best, taking
+    each move that improves by the factor ``1 + 1e-12``; a sweep without
+    one halves the step.  Batches of moves (4 wide, then twice the last
+    batch's charge, at most ``_BATCH_ENTRIES`` entries) are charged up to
+    the accepted move only, so the iterates are those of a scalar loop."""
     best = start.copy()
-    best_v = float(objective(best[None])[0])
+    best_v = float((yield best[None])[0])
     entries = np.repeat(np.arange(best.size), 2)  # move i changes entry i // 2
     signs = np.tile([1.0, -1.0], best.size)
     step, evals, width = 0.25, 0, 4
@@ -164,7 +163,7 @@ def _coordinate_ascent(objective, start: np.ndarray, budget: int) -> tuple[float
             take = min(width, entries.size - pos, budget - evals, max(1, _BATCH_ENTRIES // best.size))
             cands = np.repeat(best.reshape(1, -1), take, axis=0)
             cands[np.arange(take), entries[pos : pos + take]] += moves[pos : pos + take]
-            vals = objective(cands.reshape((take,) + best.shape))
+            vals = yield cands.reshape((take,) + best.shape)
             better = vals > best_v * (1.0 + 1e-12)
             j = int(better.argmax())
             if better[j]:  # the moves past j are discarded uncharged
@@ -176,17 +175,31 @@ def _coordinate_ascent(objective, start: np.ndarray, budget: int) -> tuple[float
 
 
 def _best_ascent(objective, starts: list[np.ndarray], budget) -> tuple[float, np.ndarray]:
-    """Coordinate ascent on a stacked objective from each start in order;
-    the strictly best value found and its point.  ``budget`` is the charged
-    budget per start (see ``_coordinate_ascent``), or a list of one per
-    start; a start with budget 0 is only scored."""
-    budgets = budget if isinstance(budget, list) else [budget] * len(starts)
-    best_v, best = -math.inf, starts[0]
-    for s, b in zip(starts, budgets):
-        v, w = _coordinate_ascent(objective, s, b)
-        if v > best_v:
-            best_v, best = v, w
-    return best_v, best
+    """``_ascent`` from starts of one shape on a stacked objective, in
+    lockstep: each round scores every live start's batch, in start order,
+    in one call, or in consecutive calls of at most ``_BATCH_ENTRIES``
+    entries that split no batch.  ``budget`` is per start, or a list of one
+    per start; a start with budget 0 is only scored.  Returns the strictly
+    best value and its point, the earlier start winning a tie."""
+    runs = list(map(_ascent, starts, budget if isinstance(budget, list) else [budget] * len(starts)))
+    results, live = [None] * len(runs), [(i, next(run)) for i, run in enumerate(runs)]
+    while live:
+        calls, size = [], math.inf
+        for i, stack in live:
+            if size + stack.size > _BATCH_ENTRIES:
+                calls, size = calls + [[]], 0
+            calls[-1].append((i, stack))
+            size += stack.size
+        live = []
+        for call in calls:
+            vals = objective(np.concatenate([stack for _, stack in call]))
+            for i, stack in call:
+                try:
+                    live.append((i, runs[i].send(vals[: len(stack)])))
+                except StopIteration as done:
+                    results[i] = done.value
+                vals = vals[len(stack) :]
+    return max(results, key=lambda r: r[0])  # the first of equal maxima
 
 
 def _search_tuples(objective, n: int, dim: int, budget: int, rng: RandomSource) -> ConstantEstimate:

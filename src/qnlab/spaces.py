@@ -72,9 +72,10 @@ class QuasiNormedSpace:
     on validated rows; the scalar, batched and envelope gauges derive from
     it here.  ``gauge(x)`` equals ``gauge_many(x[None])[0]`` bit for bit;
     a row inside a larger batch can differ from it in the last bits, since
-    matrix products sum in an order that depends on the batch size.  So a
-    searched constant, scored in batches, can differ in those bits from its
-    witness re-evaluated alone."""
+    matrix products sum in an order that depends on the batch size.  A
+    search scores the batches of all its starts together, so a searched
+    constant can differ in those bits from its witness re-evaluated alone,
+    and those bits can decide a tie between starts."""
 
     dim: int
 
@@ -623,34 +624,35 @@ class HornResult:
     passed: bool
 
 
-def horn_check_many(a_stack, b_stack, p: float, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def horn_check_many(a_stack, b_stack, ps, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partial-sum comparisons of p-th powers of singular values on stacks
-    ``(n, m, q)`` and ``(n, q, r)`` of pairs, at every k' <= k: checks
-    ``sum_{j<=k'} s_j(ab)^p <= sum_{j<=k'} s_j(a)^p s_j(b)^p`` for
-    0 < p <= 1, the quasi-norm analogue of Horn's singular value product
-    inequality, within an absolute slack of ``_HORN_SLACK``.  Returns
-    ``lhs``, ``rhs`` and ``passed``, each ``(n, k)``, column k' - 1 for k'."""
+    ``(n, m, q)`` and ``(n, q, r)`` of pairs, at every k' <= k and every p
+    in ``ps``: checks ``sum_{j<=k'} s_j(ab)^p <= sum_{j<=k'} s_j(a)^p s_j(b)^p``
+    for 0 < p <= 1, the quasi-norm analogue of Horn's singular value product
+    inequality, within an absolute slack of ``_HORN_SLACK``, from one SVD per
+    factor.  Returns ``lhs``, ``rhs`` and ``passed``, each ``(len(ps), n, k)``,
+    entry ``[t, :, k' - 1]`` for ``ps[t]`` and k'."""
     A, B = np.asarray(a_stack, dtype=float), np.asarray(b_stack, dtype=float)
     if A.ndim != 3 or B.ndim != 3 or len(A) != len(B) or A.shape[2] != B.shape[1]:
         raise ValueError(f"stacks of shapes {A.shape} and {B.shape} do not compose")
     if not (np.isfinite(A).all() and np.isfinite(B).all()) or max(A.shape[1:] + B.shape[2:]) > MAX_DENSE_DIM:
         raise ValueError(f"matrices must be finite and at most {MAX_DENSE_DIM} per side")
-    if not (0 < p <= 1):
-        raise ValueError("p must lie in (0, 1]")
+    if not (len(ps) >= 1 and all(0 < p <= 1 for p in ps)):
+        raise ValueError("need at least one p, each in (0, 1]")
     kmax = min(A.shape[1], A.shape[2], B.shape[2])
     if not (1 <= k <= kmax):
         raise ValueError(f"k must lie in [1, {kmax}]")
     # bit for bit as one pair: compute_uv=False, or a cumsum over k', rounds differently
     s_ab, s_a, s_b = (np.linalg.svd(m, full_matrices=False)[1][:, :k] for m in (A @ B, A, B))
-    v = np.stack([s_ab**p, (s_a * s_b) ** p])
+    v = np.stack([np.stack([s_ab**p, (s_a * s_b) ** p]) for p in ps], axis=1)
     lhs, rhs = np.stack([v[..., :j].sum(axis=-1) for j in range(1, k + 1)], axis=-1)
     return lhs, rhs, lhs <= rhs + _HORN_SLACK
 
 
 def horn_check(a, b, p: float, k: int) -> HornResult:
-    """:func:`horn_check_many` on one pair, at k alone."""
-    lhs, rhs, passed = horn_check_many(as_matrix(a)[None], as_matrix(b)[None], p, k)
-    return HornResult(float(lhs[0, -1]), float(rhs[0, -1]), p, k, bool(passed[0, -1]))
+    """:func:`horn_check_many` on one pair, at p and k alone."""
+    lhs, rhs, passed = horn_check_many(as_matrix(a)[None], as_matrix(b)[None], (p,), k)
+    return HornResult(float(lhs[0, 0, -1]), float(rhs[0, 0, -1]), p, k, bool(passed[0, 0, -1]))
 
 
 def quotient(space: QuasiNormedSpace, kernel_basis) -> QuasiNormedSpace:

@@ -12,7 +12,6 @@ from qnlab import randsigns
 from qnlab.numkernel import RandomSource
 from qnlab.randsigns import (
     _best_ascent,
-    _coordinate_ascent,
     cotype2_lower,
     kconvexity_lower,
     khintchine_ratio,
@@ -167,7 +166,7 @@ class TestTypeCotypeConstants:
 
 def _scalar_ascent(objective, start, budget):
     """Coordinate ascent scoring one candidate per objective call: the loop
-    whose iterates the batched ``_coordinate_ascent`` must reproduce."""
+    whose iterates each start of the batched ``_best_ascent`` must reproduce."""
     best_v = objective(start)
     best = start.copy()
     step = 0.25
@@ -192,21 +191,42 @@ def _scalar_ascent(objective, start, budget):
 
 
 @st.composite
-def _ascent_cases(draw):
-    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    entries = st.lists(st.floats(-3.0, 3.0), min_size=rows * cols, max_size=rows * cols)
-    start = np.array(draw(entries)).reshape(rows, cols)
-    target = np.array(draw(entries)).reshape(rows, cols)
+def _plateau_objective(draw, rows, cols):
+    target = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=rows * cols, max_size=rows * cols)))
     # coarse levels give plateaus, the cap a flat top, the L1 distance ties
     levels = draw(st.sampled_from([0, 1, 3, 50]))
     cap = draw(st.sampled_from([math.inf, 0.9, 0.3]))
 
     def value(x):
-        v = min(math.exp(-float(np.abs(x - target).sum())), cap)
+        v = min(math.exp(-float(np.abs(x - target.reshape(rows, cols)).sum())), cap)
         return math.floor(v * levels) / levels if levels else v
 
+    return value
+
+
+@st.composite
+def _ascent_cases(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    entries = st.lists(st.floats(-3.0, 3.0), min_size=rows * cols, max_size=rows * cols)
+    start = np.array(draw(entries)).reshape(rows, cols)
+    value = draw(_plateau_objective(rows, cols))
     # small entry caps narrow the batches below their doubling width
     return start, value, draw(st.integers(0, 200)), draw(st.sampled_from([randsigns._BATCH_ENTRIES, 1, 5]))
+
+
+@st.composite
+def _lockstep_cases(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = st.lists(st.floats(-3.0, 3.0), min_size=rows * cols, max_size=rows * cols)
+    starts = []
+    for _ in range(draw(st.integers(1, 6))):
+        if starts and draw(st.booleans()):  # a repeated start ties with its first copy
+            starts.append(starts[draw(st.integers(0, len(starts) - 1))].copy())
+        else:
+            starts.append(np.array(draw(entries)).reshape(rows, cols))
+    value = draw(_plateau_objective(rows, cols))
+    budgets = draw(st.lists(st.integers(0, 120) | st.just(0), min_size=len(starts), max_size=len(starts)))
+    return starts, value, budgets, draw(st.sampled_from([randsigns._BATCH_ENTRIES, 1, 5]))
 
 
 class TestCoordinateAscent:
@@ -226,13 +246,70 @@ class TestCoordinateAscent:
 
         want_v, want = _scalar_ascent(scalar, start, budget)
         with mock.patch.object(randsigns, "_BATCH_ENTRIES", entry_cap):
-            got_v, got = _coordinate_ascent(batched, start, budget)
+            got_v, got = _best_ascent(batched, [start], budget)
         assert got_v == want_v
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         # every candidate the scalar loop scores is scored in the same order;
         # the batches only add the uncharged moves past each accepted one
         rest = iter(batched_seen)
         assert all(any(x == y for y in rest) for x in scalar_seen)
+
+    @given(_lockstep_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_lockstep_starts_keep_each_scalar_ascent(self, case):
+        starts, value, budgets, entry_cap = case
+        scalar_seen, batched_seen = [[] for _ in starts], []
+
+        def batched(xs):
+            batched_seen.extend(x.tobytes() for x in xs)
+            return np.array([value(x) for x in xs])
+
+        want_v, want = -math.inf, None
+        for seen, start, budget in zip(scalar_seen, starts, budgets):
+            v, w = _scalar_ascent(lambda x: seen.append(x.tobytes()) or value(x), start, budget)
+            if v > want_v:  # the earlier start wins a tie
+                want_v, want = v, w
+        with mock.patch.object(randsigns, "_BATCH_ENTRIES", entry_cap):
+            got_v, got = _best_ascent(batched, starts, budgets)
+        assert got_v == want_v
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # each start's scalar candidates are scored in that start's order
+        for seen in scalar_seen:
+            rest = iter(batched_seen)
+            assert all(any(x == y for y in rest) for x in seen)
+
+    def test_starts_at_budget_zero_are_scored_in_one_call(self):
+        stacks = []
+
+        def objective(xs):
+            stacks.append(xs.copy())
+            return xs[:, 0, 0]
+
+        # start i scores i % 5, so starts 4, 9, 14, ... tie at the top
+        starts = [np.array([[i % 5, i, 0.0], [0.0, 0.0, 1.0]]) for i in range(204)]
+        for budget in (0, [0] * len(starts)):
+            stacks.clear()
+            value, best = _best_ascent(objective, starts, budget)
+            assert len(stacks) == 1 and np.array_equal(stacks[0], np.stack(starts))
+            assert value == 4.0 and np.array_equal(best, starts[4])
+
+    @pytest.mark.parametrize("entry_cap", [1, 3, 5, 12, 40, 1 << 16])
+    def test_stacked_calls_keep_the_entry_cap(self, entry_cap):
+        sizes = []
+
+        def objective(xs):
+            sizes.append((len(xs), xs.size))
+            return -np.abs(xs - 0.7).sum(axis=(1, 2))
+
+        gen = RandomSource(3).generator()
+        starts = [gen.standard_normal((2, 2)) for _ in range(9)]
+        with mock.patch.object(randsigns, "_BATCH_ENTRIES", entry_cap):
+            _best_ascent(objective, starts, 30)
+        # one start's batch holds at most max(1, entry_cap // 4) rows of 4
+        # entries, so only a one-row call may exceed the cap
+        assert all(size <= entry_cap or rows == 1 for rows, size in sizes)
+        if entry_cap >= 4 * len(starts):
+            assert sizes[0] == (len(starts), 4 * len(starts))
 
 
 _SKEWED_FRAME = np.array([[1.0, 0.2, 0.0], [0.3, 1.0, 0.1], [0.0, 0.4, 1.2]])

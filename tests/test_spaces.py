@@ -346,27 +346,30 @@ class TestHornCheck:
         st.integers(1, 4),
         st.integers(1, 12),
         st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
-        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), min_size=1, max_size=3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_many_matches_each_pair_bit_for_bit(self, seed, n, side, grow, p):
+    def test_many_matches_each_pair_bit_for_bit(self, seed, n, side, grow, ps):
         # every k up to 12, so pairwise sums of 8 or more terms are covered
         m, q, r = (min(12, side + g) for g in grow)
         gen = RandomSource(seed).generator()
         a, b = gen.standard_normal((n, m, q)), gen.standard_normal((n, q, r))
         kmax = min(m, q, r)
-        lhs, rhs, passed = horn_check_many(a, b, p, kmax)
-        assert lhs.shape == rhs.shape == passed.shape == (n, kmax)
+        lhs, rhs, passed = horn_check_many(a, b, ps, kmax)
+        assert lhs.shape == rhs.shape == passed.shape == (len(ps), n, kmax)
         for k in range(1, kmax + 1):
-            assert np.array_equal(horn_check_many(a, b, p, k)[0], lhs[:, :k])
-            for i in range(n):
-                one = horn_check(a[i], b[i], p, k)
-                assert (one.lhs, one.rhs) == horn_reference(a[i], b[i], p, k)
-                assert (lhs[i, k - 1], rhs[i, k - 1], passed[i, k - 1]) == (one.lhs, one.rhs, one.passed)
+            assert np.array_equal(horn_check_many(a, b, ps, k)[0], lhs[..., :k])
+            for t, p in enumerate(ps):
+                for i in range(n):
+                    one = horn_check(a[i], b[i], p, k)
+                    assert (one.lhs, one.rhs) == horn_reference(a[i], b[i], p, k)
+                    assert (lhs[t, i, k - 1], rhs[t, i, k - 1], passed[t, i, k - 1]) == (one.lhs, one.rhs, one.passed)
 
     def test_validation(self):
         # horn_check too raises on every bad pair: p, k, non-finite entries, sides
         eye = np.eye(2)
+        with pytest.raises(ValueError):
+            horn_check_many(eye[None], eye[None], (), 1)  # no exponent
         bad = [
             (eye[None], eye[None], 0.0, 1),  # p outside (0, 1]
             (eye[None], eye[None], 1.5, 1),
@@ -385,7 +388,9 @@ class TestHornCheck:
         ]
         for a, b, p, k in bad:
             with pytest.raises(ValueError):
-                horn_check_many(a, b, p, k)
+                horn_check_many(a, b, (p,), k)
+            with pytest.raises(ValueError):  # one bad exponent among good ones
+                horn_check_many(a, b, (0.5, p), k)
             if a.ndim == b.ndim == 3 and len(a) == len(b) == 1:
                 with pytest.raises(ValueError):
                     horn_check(a[0], b[0], p, k)
