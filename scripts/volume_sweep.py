@@ -2,6 +2,9 @@
 """Sweep Monte Carlo unit-ball volumes against closed forms across
 exponents and dimensions, printing one line per case.
 
+Exits 1 when any estimate lies beyond 5 standard errors (plus 1e-9 of the
+closed form) from the closed form, 0 otherwise.
+
 Usage: python scripts/volume_sweep.py [--seed N] [--samples M] [--dims 2 3 4]
 """
 
@@ -21,6 +24,7 @@ def main() -> int:
     args = parser.parse_args()
     rng = RandomSource(args.seed)
     worst = 0.0
+    beyond = 0
     for i, p in enumerate((0.5, 2.0 / 3.0, 1.0, 2.0)):
         for d in args.dims:
             space = WeightedLp.unweighted(p, d)
@@ -28,12 +32,14 @@ def main() -> int:
             mc = volume(space, "monte-carlo", rng.split(i, d), args.samples)
             rel = abs(mc.value - exact.value) / exact.value
             worst = max(worst, rel)
+            off = abs(mc.value - exact.value) > 5.0 * mc.stderr + 1e-9 * exact.value
+            beyond += off
             print(
                 f"p={p:<8.4f} dim={d}  closed={exact.value:.6e}  "
-                f"mc={mc.value:.6e} +- {mc.stderr:.1e}  rel={rel:.2e}"
+                f"mc={mc.value:.6e} +- {mc.stderr:.1e}  rel={rel:.2e}" + ("  BEYOND 5 STDERR" if off else "")
             )
-    print(f"worst relative deviation: {worst:.2e}")
-    return 0
+    print(f"worst relative deviation: {worst:.2e}; {beyond} case(s) beyond 5 stderr")
+    return 1 if beyond else 0
 
 
 if __name__ == "__main__":

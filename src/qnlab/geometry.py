@@ -8,7 +8,8 @@ symmetric positive-definite.  This module computes
   point lies inside exactly);
 * enclosing/inscribed ellipsoids of concrete unit balls;
 * volumes, exactly where a closed form or a fan triangulation applies and
-  by rejection sampling inside the enclosing ellipsoid otherwise;
+  otherwise by averaging the radial function over Gaussian directions of
+  the enclosing ellipsoid (terms in [0, 1], see :func:`volume`);
 * the outer volume ratio of a ball, the polar comparison of that ratio
   with the dual ball's inner ratio, and the section/projection
   inequality.
@@ -51,6 +52,8 @@ from .spaces import (
 )
 
 _MC_MIN_SAMPLES = 10_000
+_MC_CHUNK = 16_384  # Gaussian rows per draw, cache-sized; draws from one generator concatenate
+_MC_MIN_ESS = 2_000  # fewest effective samples a monte-carlo volume may rest on
 _MVEE_TOLERANCE = 1e-7  # relative stopping slack of the enclosing-ellipsoid iteration
 _MVEE_MAX_ITER = 200_000
 
@@ -81,15 +84,6 @@ class Ellipsoid:
     def boundary_radii(self, directions) -> np.ndarray:
         """Distance to the boundary along each (nonzero) direction row."""
         return 1.0 / np.sqrt(self.quadratic_form(directions))
-
-    def sample_interior(self, rng: RandomSource, n: int) -> np.ndarray:
-        """n points uniform in the ellipsoid (pure in (rng, n))."""
-        g = rng.generator()
-        d = self.dim
-        x = g.standard_normal((n, d))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        radii = g.random(n) ** (1.0 / d)
-        return (x * radii[:, None]) @ spd_power(self.shape, -0.5)
 
 
 def mvee(points) -> Ellipsoid:
@@ -209,27 +203,32 @@ def _mc_volume(space: QuasiNormedSpace, rng: RandomSource, samples: int) -> Volu
     if samples < _MC_MIN_SAMPLES:
         raise ValueError(f"monte-carlo volume needs at least {_MC_MIN_SAMPLES} samples")
     proposal = mvee_of_ball(space)
-    vol_e = proposal.volume()
-    chunk = 200_000
-    hits = 0
-    done = 0
-    piece = 0
-    while done < samples:
-        take = min(chunk, samples - done)
-        pts = proposal.sample_interior(rng.split(piece), take)
-        hits += int(np.count_nonzero(space.gauge_many(pts) <= 1.0))
-        done += take
-        piece += 1
-    if hits == 0:
+    d = proposal.dim
+    root = spd_power(proposal.shape, -0.5)
+    gen = rng.generator()
+    # sums of the terms shifted by the first chunk's mean keep the variance
+    # exact when the terms are (nearly) constant, as for a quadratic ball
+    shift = s1 = s2 = 0.0
+    for start in range(0, samples, _MC_CHUNK):
+        z = gen.standard_normal((min(_MC_CHUNK, samples - start), d))
+        terms = np.sqrt(np.einsum("ij,ij->i", z, z)) / space.gauge_many(z @ root)
+        np.power(terms, d, out=terms)
+        if start == 0:
+            shift = float(terms.mean())
+        terms -= shift
+        s1 += float(terms.sum())
+        s2 += float(terms @ terms)
+    mean = shift + s1 / samples
+    if not mean**2 > 0.0:  # the squared terms, and so the stderr, underflow first
+        raise ValueError(f"monte-carlo volume underflows: the ball fills {mean:.3g} of its ellipsoid")
+    var = max(s2 / samples - (s1 / samples) ** 2, 0.0)
+    ess = samples * mean**2 / (var + mean**2)  # sum(t) ** 2 / sum(t ** 2)
+    if not ess >= _MC_MIN_ESS:
         raise ValueError(
-            f"monte-carlo volume found {hits} hits in {samples} samples; "
-            "the ball is too thin in its enclosing ellipsoid for this sample count"
+            f"monte-carlo volume rests on {ess:.3g} effective samples, under {_MC_MIN_ESS}: too thin a ball"
         )
-    rate = hits / samples
-    value = vol_e * rate
-    # at rate 1 the plug-in stderr reads 0; the z = 1 Wilson half-width does not
-    stderr = vol_e * (math.sqrt(rate * (1.0 - rate) / samples) if hits < samples else 0.5 / (samples + 1))
-    return VolumeEstimate(value, "monte-carlo", stderr, samples)
+    vol_e = proposal.volume()
+    return VolumeEstimate(vol_e * mean, "monte-carlo", vol_e * math.sqrt(var / samples), samples)
 
 
 def volume(
@@ -244,9 +243,19 @@ def volume(
     ``monte-carlo``.  The exact routes are the kind's ``exact_volume``:
     closed forms for weighted Lp and quadratic balls, fan triangulation
     for polytopes of dim <= 5.  Auto takes that route where the kind has
-    one and rejection sampling inside the enclosing ellipsoid otherwise;
-    asking for a route the kind lacks raises ``ValueError``, as does
-    Monte-Carlo on a ball without an enclosing ellipsoid (Schatten).
+    one and Monte-Carlo otherwise; asking for a route the kind lacks raises
+    ``ValueError``, as does Monte-Carlo on a ball without an enclosing
+    ellipsoid (Schatten) or on a ball too thin in it for the sample.
+
+    Monte-Carlo averages the radial function over Gaussian directions of
+    the enclosing ellipsoid E = {x : x' Q x <= 1}: vol B = vol E * mean(t)
+    with t = (|z| / g(Q^(-1/2) z)) ** d over ``samples`` standard Gaussian
+    z.  Each term is the hit-or-miss chance along one direction, in [0, 1]
+    as B lies in E.  A thin ball (a spiky r-hull) puts its mean on rare
+    directions, and a sample that misses them reads low with too small a
+    stderr; so fewer than ``_MC_MIN_ESS`` = 2,000 effective samples
+    ``sum(t) ** 2 / sum(t ** 2)`` raise ``ValueError``, as does a share of
+    E whose square underflows (below about 2e-162).
     """
     if not isinstance(obj, QuasiNormedSpace):
         raise ValueError("volume needs a QuasiNormedSpace")
@@ -372,9 +381,10 @@ def rhull_volume_defect(
 
     Returns ``(vol B / vol co_r(extreme points)) ** (1/dim)``.  For r = 1
     the r-hull is the polytope itself and the defect is exactly 1; for
-    r < 1 the hull volume is estimated by rejection sampling against the
-    exact atom gauge.  The polytope's volume must be exact (fan
-    triangulation, dim <= 5); other dimensions raise ``ValueError``.
+    r < 1 the hull volume is the radial Monte-Carlo estimate of
+    :func:`volume` over the exact atom gauge.  The polytope's volume must
+    be exact (fan triangulation, dim <= 5); other dimensions raise
+    ``ValueError``.
     """
     if not isinstance(space, Polytope):
         raise ValueError("rhull_volume_defect needs a Polytope")
