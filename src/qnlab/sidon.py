@@ -13,6 +13,9 @@ Conventions
   two the values are computed exactly as ``1 - 2*parity`` (floats +-1.0).
 * Measures on the group are weight vectors against counting measure, so
   the total-variation norm is the plain absolute sum.
+* The interpolation constant solves one linear program per orbit of sign
+  patterns under translation and negation, which keep a measure's mass
+  and multiply its transform by +-chi(h): an orbit has a single cost.
 * Group-side averages of a gauge use normalized counting measure and the
   same power-mean helper as the sign-average code, so that for the full
   coordinate character set of a sign group both sides evaluate identical
@@ -111,6 +114,8 @@ def character_matrix(group: FiniteAbelianGroup, chars) -> tuple[np.ndarray, np.n
     for ch in chars:
         if len(ch.exponents) != k:
             raise ValueError("character exponent count must match the factor count")
+        if not all(0 <= e < m for e, m in zip(ch.exponents, group.factors)):
+            raise ValueError(f"character exponents must lie in [0, m_j); got {ch.exponents}")
     if not chars:
         raise ValueError("need at least one character")
     exps = np.array([ch.exponents for ch in chars]).T  # k x n
@@ -141,7 +146,10 @@ def sidon_constant(group: FiniteAbelianGroup, chars) -> SidonResult:
 
     For each sign pattern on the set, a linear program finds the measure
     of least total variation whose transform matches the pattern there;
-    the constant is the largest such cost.  Restricted to sign groups
+    the constant is the largest such cost.  A translate by h or a negative
+    of that measure has the same mass and matches the pattern times
+    +-chi(h), so only the first pattern of each such orbit (in
+    ``itertools.product`` order) is solved.  Restricted to sign groups
     (real character values) with at most ``MAX_SIDON_SET`` characters.
     """
     chars = tuple(chars)
@@ -155,8 +163,15 @@ def sidon_constant(group: FiniteAbelianGroup, chars) -> SidonResult:
     n_group, n_set = re.shape
     cost = np.ones(2 * n_group)
     a_eq = np.hstack([re.T, -re.T])  # transform of nu = plus - minus parts
+    # pattern t has bit n_set-1-j set when sign j is -1; its orbit is t ^ orbit
+    rows = (re < 0).astype(np.int64) @ (1 << np.arange(n_set - 1, -1, -1))
+    orbit = np.concatenate([rows, rows ^ (2**n_set - 1)])
+    done = np.zeros(2**n_set, dtype=bool)
     best = None
-    for bits in itertools.product((1.0, -1.0), repeat=n_set):
+    for t, bits in enumerate(itertools.product((1.0, -1.0), repeat=n_set)):
+        if done[t]:
+            continue
+        done[t ^ orbit] = True
         eps = np.array(bits)
         res = linprog(cost, A_eq=a_eq, b_eq=eps, bounds=(0, None), method="highs")
         if not res.success:

@@ -189,17 +189,23 @@ class TestExperimentLoops:
         assert closed == ["envelope distance near closed form lp p=0.5 dim=2"]
 
     def test_sidon_solves_the_interpolation_sweep_once(self, monkeypatch):
-        calls = []
-        solve = sidon.sidon_constant
+        calls, lps = [], []
+        solve, lp = sidon.sidon_constant, sidon.linprog
 
         def counted(*args, **kwargs):
             calls.append(args)
             return solve(*args, **kwargs)
 
+        def counted_lp(*args, **kwargs):
+            lps.append(args)
+            return lp(*args, **kwargs)
+
         monkeypatch.setattr(sidon, "sidon_constant", counted)
+        monkeypatch.setattr(sidon, "linprog", counted_lp)
         report = run(ExperimentConfig(experiment="sidon", group="z2^3", extra={"characters": "all"}))
         assert report.passed is True
         assert len(calls) == 1
+        assert len(lps) == 16  # one per orbit: 2^8 sign patterns over |W| = 16
 
 
 class TestReports:

@@ -1,10 +1,15 @@
 """Finite abelian groups, characters, and interpolation-measure constants."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+from qnlab import sidon
 from qnlab.numkernel import RandomSource
 from qnlab.sidon import (
     Character,
@@ -20,6 +25,69 @@ from qnlab.spaces import Polytope, RConvexAtoms, WeightedLp
 
 Z22 = FiniteAbelianGroup((2, 2))
 Z222 = FiniteAbelianGroup((2, 2, 2))
+OUT_OF_RANGE = [
+    (Character((2, 0)), Character((0, 0))),
+    (Character((-1, 0)), Character((1, 0))),
+    (Character((3, 1)), Character((1, 1))),
+]
+
+
+def _chars_of_codes(k, codes):
+    """Characters of z2^k whose exponent j is bit j of each code."""
+    return tuple(Character(tuple((int(c) >> j) & 1 for j in range(k))) for c in codes)
+
+
+def _brute_force_value(re):
+    """Largest least-mass interpolation cost over every sign pattern, one LP each."""
+    n_group, n_set = re.shape
+    a_eq = np.hstack([re.T, -re.T])
+    costs = []
+    for bits in itertools.product((1.0, -1.0), repeat=n_set):
+        res = linprog(np.ones(2 * n_group), A_eq=a_eq, b_eq=np.array(bits), bounds=(0, None), method="highs")
+        assert res.success
+        costs.append(res.fun)
+    return max(costs)
+
+
+def _orbit_group_order(re):
+    """Order of W = {+-chi(h)}: the distinct sign rows of re and their negatives."""
+    return len({tuple(row) for row in np.vstack([re, -re])})
+
+
+def _spy_on_lps(mp):
+    """Route ``sidon.linprog`` through a spy; the list collects each solved pattern."""
+    solved, solve = [], sidon.linprog
+
+    def counted(*args, **kwargs):
+        solved.append(kwargs["b_eq"])
+        return solve(*args, **kwargs)
+
+    mp.setattr(sidon, "linprog", counted)
+    return solved
+
+
+def _check_against_per_pattern_sweep(k, codes):
+    """sidon_constant against the per-pattern sweep, with the orbits it solved."""
+    group = FiniteAbelianGroup((2,) * k)
+    chars = _chars_of_codes(k, codes)
+    with pytest.MonkeyPatch.context() as mp:
+        solved = _spy_on_lps(mp)
+        res = sidon_constant(group, chars)
+    re, _ = character_matrix(group, chars)
+    # each solved pattern is the first, in sweep order, of its own orbit,
+    # and the orbits of the solved patterns cover every pattern once
+    orbits = [{tuple(sign * eps * row) for row in re for sign in (1.0, -1.0)} for eps in solved]
+    assert all(tuple(eps < 0) == min(tuple(np.array(q) < 0) for q in o) for eps, o in zip(solved, orbits))
+    assert sum(map(len, orbits)) == len(set().union(*orbits)) == 2 ** len(codes)
+    assert res.value == pytest.approx(_brute_force_value(re), rel=1e-9)
+    assert np.abs(re.T @ res.measure - res.pattern).max() < 1e-7
+    assert np.abs(res.measure).sum() == pytest.approx(res.value, rel=1e-9)
+    # element indices add as bit vectors, so nu(g + h) is measure[g ^ h]
+    elements = np.arange(group.order)
+    for h in elements:
+        moved = res.measure[elements ^ h]
+        assert np.abs(re.T @ moved - res.pattern * re[h]).max() < 1e-7
+        assert np.abs(moved).sum() == pytest.approx(res.value, rel=1e-12)
 
 
 class TestGroups:
@@ -68,6 +136,9 @@ class TestCharacters:
     def test_character_validation(self):
         with pytest.raises(ValueError):
             character_matrix(Z22, (Character((0, 1, 0)),))
+        for chars in OUT_OF_RANGE:
+            with pytest.raises(ValueError, match=r"\[0, m_j\)"):
+                character_matrix(Z22, chars)
 
 
 class TestSidonConstant:
@@ -97,6 +168,59 @@ class TestSidonConstant:
         big = FiniteAbelianGroup((2,) * 11)
         with pytest.raises(ValueError):
             sidon_constant(big, all_characters(big))
+        # distinct exponent tuples naming characters outside the dual group
+        for chars in OUT_OF_RANGE:
+            with pytest.raises(ValueError, match=r"\[0, m_j\)"):
+                sidon_constant(Z22, chars)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_orbit_sweep_matches_per_pattern_sweep(self, data):
+        k = data.draw(st.integers(1, 5), label="k")
+        codes = data.draw(
+            st.lists(st.integers(0, 2**k - 1), min_size=1, max_size=min(6, 2**k), unique=True),
+            label="codes",
+        )
+        _check_against_per_pattern_sweep(k, codes)
+
+    # dependent sets whose orbit group is not closed under reversing the
+    # character order, so a misread pattern index picks the wrong orbits
+    @pytest.mark.parametrize("codes", [[0, 1, 2, 3, 4], [0, 1, 2, 5, 6], [0, 2, 3, 6, 7]])
+    def test_orbit_sweep_on_dependent_sets(self, codes):
+        _check_against_per_pattern_sweep(3, codes)
+
+
+class TestSidonOrbitCount:
+    """One linear program per orbit of sign patterns under {+-chi(h)}."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        return _spy_on_lps(monkeypatch)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_coordinate_characters_take_one_lp(self, lp_calls, k):
+        g = FiniteAbelianGroup((2,) * k)
+        sidon_constant(g, coordinate_characters(g))
+        assert len(lp_calls) == 1
+
+    def test_full_dual_of_four_group_takes_two_lps(self, lp_calls):
+        res = sidon_constant(Z22, all_characters(Z22))
+        assert len(lp_calls) == 2
+        assert np.array_equal(res.pattern, np.array([1.0, 1.0, 1.0, -1.0]))
+
+    def test_full_dual_of_eight_group_takes_sixteen_lps(self, lp_calls):
+        sidon_constant(Z222, all_characters(Z222))
+        assert len(lp_calls) == 16  # 2^8 patterns over |W| = 16
+
+    def test_ten_characters_on_z2_6(self, lp_calls):
+        g = FiniteAbelianGroup((2,) * 6)
+        codes = RandomSource(7).generator().choice(np.arange(1, 64), size=10, replace=False)
+        chars = _chars_of_codes(6, codes)
+        res = sidon_constant(g, chars)
+        re, _ = character_matrix(g, chars)
+        assert len(lp_calls) == 2**10 // _orbit_group_order(re)
+        assert len(lp_calls) < 2**10
+        assert res.value >= 1.0 - 1e-9
 
 
 class TestMomentComparison:
