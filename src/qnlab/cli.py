@@ -3,14 +3,17 @@
 One subcommand per registered experiment (including the ``suite:...``
 verification suites), plus:
 
-* ``list`` — print the experiment catalogue;
+* ``list`` — print the experiment catalogue with each experiment's
+  parameters and their defaults;
 * ``run EXPERIMENT`` — run an experiment named positionally;
-* ``suite`` — run every ``suite:...`` entry in catalogue order.
+* ``suite`` — run every ``suite:...`` entry in catalogue order at its
+  defaults (flags: ``--seed --output``).
 
 Flags: ``--seed --dim --samples --trials --budget --tolerance --theta
---p --group --space (repeatable) --output --config --extra KEY=VALUE``.
-A ``--config`` JSON file is merged over the flags: keys present in the
-file override flag values.
+--p --group --characters --space (repeatable) --output --config``.  An
+experiment takes ``--seed``, ``--output`` and the parameters it declares;
+any other flag is a configuration error.  A ``--config`` JSON file is
+merged over the flags: keys present in the file override flag values.
 
 Exit codes: 0 when all verdicts pass (observational runs always exit 0 on
 completion), 1 when a verdict fails, 2 on configuration or runtime error.
@@ -22,14 +25,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
-from .harness import ExperimentConfig, list_experiments, run, suite_names, write_report
+from .harness import ExperimentConfig, list_experiments, run, suite_names
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    parser.add_argument("--dim", type=int, default=None, help="default dimension knob")
+    parser.add_argument("--dim", type=int, default=None, help="dimension of the interp pair")
     parser.add_argument("--samples", type=int, default=None, help="Monte Carlo sample count")
     parser.add_argument("--trials", type=int, default=None, help="instance count for sweeps")
     parser.add_argument("--budget", type=int, default=None, help="search budget knob")
@@ -37,6 +40,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--theta", type=float, default=None, help="interpolation parameter")
     parser.add_argument("--p", type=float, default=None, help="gauge/moment exponent")
     parser.add_argument("--group", type=str, default=None, help="group string, e.g. 2,2 or z2^3")
+    parser.add_argument("--characters", type=str, default=None, help="sidon character set: coordinate or all")
     parser.add_argument(
         "--space",
         action="append",
@@ -47,13 +51,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", type=str, default=None, help="report path (.json or .csv)")
     parser.add_argument(
         "--config", type=str, default=None, help="JSON config file; overrides flags"
-    )
-    parser.add_argument(
-        "--extra",
-        action="append",
-        default=None,
-        metavar="KEY=VALUE",
-        help="extra experiment-specific option (repeatable)",
     )
 
 
@@ -68,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     runner.add_argument("experiment", help="experiment name from `qnlab list`")
     _add_common_flags(runner)
     suite = sub.add_parser("suite", help="run every verification suite in order")
-    _add_common_flags(suite)
+    suite.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
+    suite.add_argument("--output", type=str, default=None, help="base report path, one file per suite")
     for entry in list_experiments():
         p = sub.add_parser(entry["name"], help=entry["description"])
         _add_common_flags(p)
@@ -78,29 +76,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
     flags: dict = {"experiment": experiment}
     for f in fields(ExperimentConfig):
-        if f.name in ("experiment", "spaces", "extra"):
+        if f.name in ("experiment", "spaces"):
             continue
         value = getattr(args, f.name, None)
         if value is not None:
             flags[f.name] = value
     if getattr(args, "space", None):
         flags["spaces"] = tuple(args.space)
-    if getattr(args, "extra", None):
-        extra = {}
-        for item in args.extra:
-            if "=" not in item:
-                raise ValueError(f"--extra expects KEY=VALUE, got {item!r}")
-            k, _, v = item.partition("=")
-            extra[k] = v
-        flags["extra"] = extra
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             file_data = json.load(fh)
         if not isinstance(file_data, dict):
             raise ValueError("config file must hold a JSON object")
         flags.update(file_data)
-    if "seed" not in flags:
-        flags["seed"] = 0
     return ExperimentConfig.from_dict(flags)
 
 
@@ -128,6 +116,11 @@ def main(argv=None) -> int:
             for entry in list_experiments():
                 tag = " (observational)" if entry["observational"] else ""
                 print(f"{entry['name']:24s} {entry['description']}{tag}")
+                params = ", ".join(
+                    f"{k}={'(derived)' if v in (None, ()) else json.dumps(v)}"
+                    for k, v in entry["parameters"].items()
+                )
+                print(f"{'':24s} parameters: {params or 'none'}")
             return 0
         if args.command == "suite":
             worst = 0
@@ -137,14 +130,8 @@ def main(argv=None) -> int:
                     if config.output:
                         base, ext = os.path.splitext(config.output)
                         safe = name.replace(":", "-")
-                        per_path = f"{base}-{safe}{ext or '.json'}"
-                        config = ExperimentConfig.from_dict(
-                            {**config.to_dict(), "output": None}
-                        )
-                        report = run(config)
-                        write_report(report, per_path)
-                    else:
-                        report = run(config)
+                        config = replace(config, output=f"{base}-{safe}{ext or '.json'}")
+                    report = run(config)
                 except Exception as exc:  # noqa: BLE001 - keep later suites running
                     print(f"== {name}: ERROR {exc}", file=sys.stderr)
                     worst = max(worst, 2)

@@ -275,19 +275,22 @@ def envelope_distance(
 
 @dataclass(frozen=True)
 class DeltaResult:
-    upper: float  # estimate of the norm from the envelope source (>= delta)
+    upper: float  # the envelope-source norm: delta if kind is exact, else a lower bound on it
     lower: float  # operator norm lower bound (delta >= op norm)
     kind: str  # certification of the upper evaluation
 
 
 def delta_upper(u: OperatorSpec, budget: int = 2000, rng: RandomSource = RandomSource(0)) -> DeltaResult:
-    """Bracket for the least factorization product through a convex space.
+    """The least factorization product delta(u) through a Banach space.
 
-    Factoring through the source's convex envelope with the identity shows
-    the constant is at most the operator norm taken from the envelope
-    gauge; that norm is evaluated exactly when an exact route exists and
-    estimated by search otherwise (kind records which).  The floor is the
-    plain operator norm.
+    By the universal property of the Banach envelope (Kalton, Peck and
+    Roberts, *An F-space sampler*), delta(u) equals the operator norm taken
+    from the envelope gauge: every bounded map into a Banach space keeps its
+    norm on the convex hull of the source ball, and the identity onto the
+    envelope attains it.  So ``upper`` is delta when that norm has an exact
+    route (kind ``exact``), and a certified lower bound on delta when it was
+    searched.  ``lower`` is the plain operator norm, which never exceeds
+    delta.
     """
     env = u.source.envelope_space()
     upper_res = op_norm(OperatorSpec(u.matrix, env, u.target), budget, rng)

@@ -13,20 +13,25 @@ Config schema (JSON object, all keys optional except ``experiment``):
 
 ``experiment``
     registry key, e.g. ``"volume"`` or ``"suite:horn"``;
-``spaces``
-    list of space strings (grammar below);
 ``seed``
     integer master seed (default 0) — every random draw derives from it;
+``output``
+    path for the serialized report (``.json`` or ``.csv``).
+
+Each experiment declares the parameters it reads, with their defaults
+(``qnlab list`` shows them); ``run`` fills in the defaults and rejects a
+set parameter that the experiment does not declare:
+
+``spaces``
+    list of space strings (grammar below);
 ``dim, samples, trials, budget``
-    positive integer knobs; each experiment documents its defaults;
+    positive integers;
 ``tolerance, theta, p``
-    float knobs;
+    floats;
 ``group``
     group string, either comma factors ``"2,2,2"`` or ``"z2^3"``;
-``output``
-    path for the serialized report (``.json`` or ``.csv``);
-``extra``
-    experiment-specific string-keyed JSON object.
+``characters``
+    ``"coordinate"`` or ``"all"``.
 
 Space grammar: a kind followed by ``key=value`` tokens.
 
@@ -37,7 +42,8 @@ Space grammar: a kind followed by ``key=value`` tokens.
 * ``polytope vertices=1,0;0,1;-1,0;0,-1``
 * ``atoms r=0.5 rows=1,0;0,1``
 
-Reports carry a schema version, the echoed config, an observational flag
+Reports carry a schema version, the echoed config (the effective value of
+every declared parameter), an observational flag
 (observational suites emit trend data and assert no numeric threshold,
 stated in the header), records, named verdicts, and a wallclock figure
 that is excluded from the determinism payload.
@@ -50,7 +56,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -197,8 +203,8 @@ class ExperimentConfig:
     theta: float | None = None
     p: float | None = None
     group: str | None = None
+    characters: str | None = None
     output: str | None = None
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "spaces", tuple(str(s) for s in self.spaces))
@@ -213,7 +219,6 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, float(value))
-        json.dumps(self.extra)  # must be JSON-safe for lossless round-trips
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -229,7 +234,6 @@ class ExperimentConfig:
             raise ValueError("config needs an 'experiment' key")
         kwargs = dict(data)
         kwargs["spaces"] = tuple(kwargs.get("spaces", ()))
-        kwargs["extra"] = dict(kwargs.get("extra", {}))
         return cls(**kwargs)
 
 
@@ -266,11 +270,15 @@ class ExperimentReport:
         return 1 if self.passed is False else 0
 
     def payload(self) -> dict:
-        """Deterministic content: everything except the wallclock."""
+        """Deterministic content: everything except the wallclock.  The
+        config echo leaves out the parameters the experiment does not take."""
+        declared = _REGISTRY[self.experiment][3]
+        config = {k: v for k, v in self.config.to_dict().items()
+                  if k not in _PARAMETERS or k in declared}
         return {
             "schema_version": SCHEMA_VERSION,
             "experiment": self.experiment,
-            "config": self.config.to_dict(),
+            "config": config,
             "observational": self.observational,
             "header": self.header,
             "records": _json_safe(list(self.records)),
@@ -331,11 +339,6 @@ def _root(config: ExperimentConfig) -> RandomSource:
     return RandomSource(config.seed)
 
 
-def _spaces(config: ExperimentConfig, defaults: tuple[str, ...]) -> list[QuasiNormedSpace]:
-    names = config.spaces if config.spaces else defaults
-    return [parse_space(s) for s in names]
-
-
 def _running_max(records: list[dict], key: str) -> None:
     best = -math.inf
     for rec in records:
@@ -348,25 +351,16 @@ def _running_max(records: list[dict], key: str) -> None:
 
 
 def _run_volume(config: ExperimentConfig):
-    dim = config.dim or 3
-    defaults = (
-        f"lp p=0.5 dim={dim}",
-        f"lp p=1.0 dim={dim}",
-        f"euclidean dim={dim}",
-    )
-    sps = _spaces(config, defaults)
-    samples = config.samples or 200_000
-    tol = config.tolerance if config.tolerance is not None else 0.05
     rng = _root(config)
     records, verdicts = [], []
-    for i, sp in enumerate(sps):
+    for i, sp in enumerate(map(parse_space, config.spaces)):
         name = format_space(sp)
-        mc = geometry.volume(sp, "monte-carlo", rng.split(0, i), samples)
+        mc = geometry.volume(sp, "monte-carlo", rng.split(0, i), config.samples)
         rec = {
             "space": name,
             "mc_value": mc.value,
             "mc_stderr": mc.stderr,
-            "samples": samples,
+            "samples": config.samples,
         }
         try:
             exact = geometry.volume(sp, "auto")
@@ -374,7 +368,7 @@ def _run_volume(config: ExperimentConfig):
             exact = None
         if exact is not None and exact.method != "monte-carlo":
             rel = abs(mc.value - exact.value) / exact.value
-            allowed = max(tol, 4.0 * mc.stderr / exact.value)
+            allowed = max(config.tolerance, 4.0 * mc.stderr / exact.value)
             rec.update({"exact_value": exact.value, "exact_method": exact.method,
                         "rel_error": rel})
             verdicts.append(
@@ -389,12 +383,9 @@ def _run_volume(config: ExperimentConfig):
 
 
 def _run_ellipsoid(config: ExperimentConfig):
-    dim = config.dim or 3
-    defaults = (f"lp p=1.0 dim={dim}", f"lp p=inf dim={dim}")
-    sps = _spaces(config, defaults)
     rng = _root(config)
     records, verdicts = [], []
-    for i, sp in enumerate(sps):
+    for i, sp in enumerate(map(parse_space, config.spaces)):
         name = format_space(sp)
         gen = rng.split(1, i).generator()
         dirs = gen.standard_normal((1000, sp.dim))
@@ -433,9 +424,7 @@ def _run_ellipsoid(config: ExperimentConfig):
 
 
 def _run_interp(config: ExperimentConfig):
-    dim = config.dim or 3
-    theta = config.theta if config.theta is not None else 0.5
-    tol = config.tolerance if config.tolerance is not None else 1e-3
+    dim, theta, tol = config.dim, config.theta, config.tolerance
     rng = _root(config)
     w0 = 1.0 + np.arange(dim)
     w1 = np.linspace(2.0, 0.5, dim)
@@ -525,20 +514,16 @@ def _run_interp(config: ExperimentConfig):
 
 
 def _run_typecotype(config: ExperimentConfig):
-    dim = config.dim or 3
-    defaults = (f"euclidean dim={dim}", f"lp p=0.5 dim={dim}")
-    sps = _spaces(config, defaults)
     n = min(4, randsigns.MAX_EXACT_N)
-    budget = config.budget or 4
     rng = _root(config)
     records, verdicts = [], []
-    for i, sp in enumerate(sps):
+    for i, sp in enumerate(map(parse_space, config.spaces)):
         name = format_space(sp)
         ident = OperatorSpec.identity(sp)
-        t2 = randsigns.type2_lower(ident, n, budget, rng.split(6, i))
-        c2 = randsigns.cotype2_lower(ident, n, budget, rng.split(7, i))
+        t2 = randsigns.type2_lower(ident, n, config.budget, rng.split(6, i))
+        c2 = randsigns.cotype2_lower(ident, n, config.budget, rng.split(7, i))
         kn = min(3, randsigns.MAX_PROJECTION_N)
-        kc = randsigns.kconvexity_lower(ident, kn, budget, rng.split(8, i))
+        kc = randsigns.kconvexity_lower(ident, kn, config.budget, rng.split(8, i))
         kh = randsigns.khintchine_ratio(sp, np.eye(sp.dim), 4.0, 2.0)
         eq_p = config.p if config.p is not None else min(getattr(sp, "p", 2.0), 2.0)
         ent = interpolation.equal_norms_type(sp, eq_p, n, budget=2, rng=rng.split(9, i))
@@ -581,22 +566,14 @@ def _run_typecotype(config: ExperimentConfig):
 
 
 def _run_gamma2(config: ExperimentConfig):
-    dim = config.dim or 3
-    defaults = (
-        f"euclidean dim={dim}",
-        f"lp p=1.0 dim={dim}",
-        f"lp p=0.5 dim={dim}",
-    )
-    sps = _spaces(config, defaults)
-    budget = config.budget or 8
     rng = _root(config)
     records, verdicts = [], []
-    for i, sp in enumerate(sps):
+    for i, sp in enumerate(map(parse_space, config.spaces)):
         name = format_space(sp)
         ident = OperatorSpec.identity(sp)
-        g = factorization.gamma2_upper(ident, budget=budget, rng=rng.split(10, i))
-        ed = factorization.euclidean_distance(sp, budget=budget, rng=rng.split(11, i))
-        env = factorization.envelope_distance(sp, budget=budget, rng=rng.split(12, i))
+        g = factorization.gamma2_upper(ident, budget=config.budget, rng=rng.split(10, i))
+        ed = factorization.euclidean_distance(sp, budget=config.budget, rng=rng.split(11, i))
+        env = factorization.envelope_distance(sp, budget=config.budget, rng=rng.split(12, i))
         delta = factorization.delta_upper(ident, rng=rng.split(13, i))
         records.append(
             {
@@ -656,20 +633,17 @@ def _run_gamma2(config: ExperimentConfig):
 
 
 def _run_sidon(config: ExperimentConfig):
-    group = parse_group(config.group or "2,2")
-    k = len(group.factors)
-    sps = _spaces(config, (f"euclidean dim={k}",))
-    sp = sps[0]
-    p = config.p if config.p is not None else 2.0
-    trials = config.trials or 5
+    group = parse_group(config.group)
+    if len(config.spaces) > 1:
+        raise ValueError("sidon takes at most one space")
+    sp = parse_space(config.spaces[0]) if config.spaces else WeightedLp.euclidean(len(group.factors))
     rng = _root(config)
-    char_mode = config.extra.get("characters", "coordinate")
-    if char_mode == "all":
+    if config.characters == "all":
         chars = sidon.all_characters(group)
-    elif char_mode == "coordinate":
+    elif config.characters == "coordinate":
         chars = sidon.coordinate_characters(group)
     else:
-        raise ValueError("extra['characters'] must be 'coordinate' or 'all'")
+        raise ValueError("characters must be 'coordinate' or 'all'")
     records, verdicts = [], []
     sid = None
     if group.is_sign_group and len(chars) <= sidon.MAX_SIDON_SET:
@@ -695,9 +669,9 @@ def _run_sidon(config: ExperimentConfig):
                 f"max transform defect {defect:.2e}",
             )
         )
-    for t in range(trials):
+    for t in range(config.trials):
         vecs = rng.split(14, t).generator().standard_normal((len(chars), sp.dim))
-        ratio = sidon.cp_ratio(group, chars, sp, p, vecs)
+        ratio = sidon.cp_ratio(group, chars, sp, config.p, vecs)
         rec = {
             "trial": t,
             "group_side": ratio.group_side,
@@ -705,7 +679,8 @@ def _run_sidon(config: ExperimentConfig):
             "ratio": ratio.ratio,
         }
         records.append(rec)
-        if char_mode == "coordinate":
+        if config.characters == "coordinate" and group.is_sign_group:
+            # coordinate characters of a sign group are Rademacher signs
             verdicts.append(
                 _verdict(
                     f"coordinate characters match sign averages (trial {t})",
@@ -714,7 +689,7 @@ def _run_sidon(config: ExperimentConfig):
                 )
             )
     imbalance = sidon.imbalance_lower(
-        group, chars, sp, p, budget=config.budget or 2, rng=rng.split(15, 0)
+        group, chars, sp, config.p, budget=config.budget, rng=rng.split(15, 0)
     )
     cert = randsigns.cotype2_lower(
         OperatorSpec.identity(sp), n=min(4, 2 * sp.dim), budget=2, rng=rng.split(15, 1)
@@ -734,7 +709,7 @@ def _run_sidon(config: ExperimentConfig):
 
 
 def _run_suite_horn(config: ExperimentConfig):
-    trials = config.trials or 1000
+    trials = config.trials
     rng = _root(config)
     pairs = np.empty((trials, 2, 4, 4))
     for i in range(trials):  # the pair (a, b) of split i, a drawn first
@@ -810,11 +785,10 @@ def _random_polytope(rng: RandomSource, idx: int, dim: int, extremes: int) -> Po
 
 
 def _run_suite_santalo(config: ExperimentConfig):
-    trials = config.trials or 100
     rng = _root(config)
     records = []
     failures = 0
-    for i in range(trials):
+    for i in range(config.trials):
         dim = 2 + (i % 2)
         extremes = dim + 2 + (i % 3)
         poly = _random_polytope(rng, i, dim, extremes)
@@ -835,7 +809,7 @@ def _run_suite_santalo(config: ExperimentConfig):
         _verdict(
             "outer ratio dominates the dual inner ratio",
             failures == 0,
-            f"{trials} seeded polytopes, {failures} failures",
+            f"{config.trials} seeded polytopes, {failures} failures",
         )
     ]
     return records, verdicts
@@ -843,18 +817,17 @@ def _run_suite_santalo(config: ExperimentConfig):
 
 def _ratio_sweep(config: ExperimentConfig, stream: int, pairs_of, bound, pair_fields=None):
     """Shared body of the theorem6 and theorem8 sweeps: for each dim 2..4
-    and space pair ``pairs_of(d)``, ``trials`` Gaussian operators, each
-    bracketed by ``bound(u, rng) -> (lower, upper, fields)``; records the
-    ratio upper / lower.  ``pair_fields(target, rng)`` adds fields shared
-    by every record of one pair."""
-    trials = config.trials or 3
+    and space pair ``pairs_of(d)``, ``config.trials`` Gaussian operators,
+    each bracketed by ``bound(u, rng) -> (lower, upper, fields)``; records
+    the ratio upper / lower.  ``pair_fields(target, rng)`` adds fields
+    shared by every record of one pair."""
     rng = _root(config)
     records = []
     for d in range(2, 5):
         sweep_rng = rng.split(stream, d)
         for idx, (src, tgt) in enumerate(pairs_of(d)):
             shared = pair_fields(tgt, sweep_rng.split(idx, 0)) if pair_fields else {}
-            for t in range(trials):
+            for t in range(config.trials):
                 m = sweep_rng.split(idx, 1, t).generator().standard_normal((tgt.dim, src.dim))
                 lower, upper, found = bound(OperatorSpec(m, src, tgt), sweep_rng.split(idx, 2, t))
                 if lower <= 0:
@@ -876,8 +849,6 @@ def _ratio_sweep(config: ExperimentConfig, stream: int, pairs_of, bound, pair_fi
 
 
 def _run_suite_theorem6(config: ExperimentConfig):
-    budget = config.budget or 4
-
     def pairs_of(d):
         return [
             (WeightedLp.unweighted(0.5, d), WeightedLp.euclidean(d)),
@@ -890,7 +861,7 @@ def _run_suite_theorem6(config: ExperimentConfig):
         return {"target_cotype2_certificate": cert.value}
 
     def bound(u, rng):
-        g = factorization.gamma2_upper(u, budget=budget, rng=rng)
+        g = factorization.gamma2_upper(u, budget=config.budget, rng=rng)
         found = {"op_lower": g.lower, "gamma2_upper": g.upper, "certified": g.certified}
         return g.lower, g.upper, found
 
@@ -898,8 +869,6 @@ def _run_suite_theorem6(config: ExperimentConfig):
 
 
 def _run_suite_theorem8(config: ExperimentConfig):
-    budget = config.budget or 2000
-
     def pairs_of(d):
         return [
             (WeightedLp.unweighted(0.5, d), WeightedLp.euclidean(d)),
@@ -907,7 +876,7 @@ def _run_suite_theorem8(config: ExperimentConfig):
         ]
 
     def bound(u, rng):
-        res = factorization.delta_upper(u, budget=budget, rng=rng)
+        res = factorization.delta_upper(u, budget=config.budget, rng=rng)
         found = {"op_lower": res.lower, "delta_upper": res.upper, "upper_kind": res.kind}
         return res.lower, res.upper, found
 
@@ -915,14 +884,13 @@ def _run_suite_theorem8(config: ExperimentConfig):
 
 
 def _run_suite_theorem15(config: ExperimentConfig):
-    trials = config.trials or 2
     rng = _root(config)
     records = []
     cases = [(1.0, 3, 20_000), (1.0, 4, 20_000), (1.0, 5, 20_000),
              (0.5, 3, 10_000), (0.5, 4, 10_000)]
     for case_idx, (p, d, samples) in enumerate(cases):
         sp = WeightedLp.unweighted(p, d)
-        for t in range(trials):
+        for t in range(config.trials):
             kernel = rng.split(22, case_idx, t).generator().standard_normal((1, d))
             quot = spaces.quotient(sp, kernel)
             est = geometry.vr_star(
@@ -944,7 +912,6 @@ def _run_suite_theorem15(config: ExperimentConfig):
 
 
 def _run_suite_lemma1_exponent(config: ExperimentConfig):
-    budget = config.budget or 2
     rng = _root(config)
     records = []
     exponents = {
@@ -956,7 +923,7 @@ def _run_suite_lemma1_exponent(config: ExperimentConfig):
         for d in (2, 3, 4, 6):
             sp = WeightedLp.unweighted(r, d)
             kc = randsigns.kconvexity_lower(
-                OperatorSpec.identity(sp), n=4, budget=budget, rng=rng.split(24, d)
+                OperatorSpec.identity(sp), n=4, budget=config.budget, rng=rng.split(24, d)
             )
             row = {"r": r, "dim": d, "kconvexity_lower": kc.value}
             for label, fn in exponents.items():
@@ -980,7 +947,8 @@ def _run_suite_lemma5(config: ExperimentConfig):
             for d in (2, 3):
                 sp = WeightedLp.unweighted(r, d)
                 pair = interpolation.NormPair.from_spaces(sp.envelope_space(), sp)
-                params = interpolation.ThetaParams(theta, nodes=50, t_min=1e-5, t_max=1e5)
+                params = interpolation.ThetaParams(theta, nodes=50, t_min=1e-5, t_max=1e5,
+                                                   budget=config.budget)
                 gen = rng.split(25, d).generator()
                 worst = -math.inf
                 exact = True
@@ -1009,8 +977,6 @@ def _run_suite_weak_cotype2(config: ExperimentConfig):
     a_k(u) sqrt(k) / (Gaussian mean of u) for Gaussian operators u from
     Euclidean (d+2)-space; a_k is an upper bound or a searched value for
     non-quadratic targets, so the profile is an estimate."""
-    trials = config.trials or 2
-    samples = config.samples or 6000
     rng = _root(config)
     records = []
     idx = 0
@@ -1022,10 +988,10 @@ def _run_suite_weak_cotype2(config: ExperimentConfig):
             space_rng = rng.split(26, idx)
             idx += 1
             profile, evaluations = 0.0, 0
-            for t in range(trials):
+            for t in range(config.trials):
                 g = space_rng.split(t, 0).generator().standard_normal((d, n))
                 u = OperatorSpec(g, source, sp)
-                ell = factorization.gaussian_mean(u, samples, space_rng.split(t, 1))
+                ell = factorization.gaussian_mean(u, config.samples, space_rng.split(t, 1))
                 if ell.value <= 0:
                     continue
                 for k in range(1, n + 1):
@@ -1047,23 +1013,45 @@ def _run_suite_weak_cotype2(config: ExperimentConfig):
 # registry, run(), list_experiments()
 
 
+# name -> (runner, description, observational, declared parameters).  The
+# parameters map to their defaults; a default of None or () is worked out
+# by the runner: per space (typecotype's p), per case (theorem15's
+# samples), or from the group (sidon's spaces).
 _REGISTRY: dict[str, tuple] = {
-    "volume": (_run_volume, "Monte Carlo unit-ball volumes against closed forms", False),
-    "ellipsoid": (_run_ellipsoid, "enclosing/inscribed ellipsoid containment checks", False),
-    "interp": (_run_interp, "interpolation functionals: quadrature, closed forms, operator bound", False),
-    "typecotype": (_run_typecotype, "sign-average constants with witnesses", False),
-    "gamma2": (_run_gamma2, "factorization brackets and distance estimates", False),
-    "sidon": (_run_sidon, "character interpolation constant and moment comparison", False),
-    "suite:horn": (_run_suite_horn, "singular-value partial-sum checks on seeded matrix pairs", False),
-    "suite:lemma11": (_run_suite_lemma11, "coordinate split volume inequality across small Lp balls", False),
-    "suite:santalo": (_run_suite_santalo, "polar volume comparisons on seeded random polytopes", False),
-    "suite:theorem6": (_run_suite_theorem6, "factorization ratio sweep into sign-regular targets", True),
-    "suite:theorem8": (_run_suite_theorem8, "envelope-route factorization ratio sweep", True),
-    "suite:theorem15": (_run_suite_theorem15, "outer volume ratios of random quotient balls", True),
-    "suite:lemma1-exponent": (_run_suite_lemma1_exponent, "projection-constant growth against dimension-power models", True),
-    "suite:lemma5": (_run_suite_lemma5, "triangle defect of interpolated gauges across the convexity threshold", True),
-    "suite:weak-cotype2": (_run_suite_weak_cotype2, "approximation-number profiles of random Gaussian embeddings", True),
+    "volume": (_run_volume, "Monte Carlo unit-ball volumes against closed forms", False,
+               {"spaces": ("lp p=0.5 dim=3", "lp p=1.0 dim=3", "euclidean dim=3"),
+                "samples": 200_000, "tolerance": 0.05}),
+    "ellipsoid": (_run_ellipsoid, "enclosing/inscribed ellipsoid containment checks", False,
+                  {"spaces": ("lp p=1.0 dim=3", "lp p=inf dim=3")}),
+    "interp": (_run_interp, "interpolation functionals: quadrature, closed forms, operator bound", False,
+               {"dim": 3, "theta": 0.5, "tolerance": 1e-3}),
+    "typecotype": (_run_typecotype, "sign-average constants with witnesses", False,
+                   {"spaces": ("euclidean dim=3", "lp p=0.5 dim=3"), "budget": 4, "p": None}),
+    "gamma2": (_run_gamma2, "factorization brackets and distance estimates", False,
+               {"spaces": ("euclidean dim=3", "lp p=1.0 dim=3", "lp p=0.5 dim=3"), "budget": 8}),
+    "sidon": (_run_sidon, "character interpolation constant and moment comparison", False,
+              {"group": "2,2", "spaces": (), "p": 2.0, "trials": 5, "budget": 2, "characters": "coordinate"}),
+    "suite:horn": (_run_suite_horn, "singular-value partial-sum checks on seeded matrix pairs", False,
+                   {"trials": 1000}),
+    "suite:lemma11": (_run_suite_lemma11, "coordinate split volume inequality across small Lp balls", False, {}),
+    "suite:santalo": (_run_suite_santalo, "polar volume comparisons on seeded random polytopes", False,
+                      {"trials": 100}),
+    "suite:theorem6": (_run_suite_theorem6, "factorization ratio sweep into sign-regular targets", True,
+                       {"budget": 4, "trials": 3}),
+    "suite:theorem8": (_run_suite_theorem8, "envelope-route factorization ratio sweep", True,
+                       {"budget": 2000, "trials": 3}),
+    "suite:theorem15": (_run_suite_theorem15, "outer volume ratios of random quotient balls", True,
+                        {"trials": 2, "samples": None}),
+    "suite:lemma1-exponent": (_run_suite_lemma1_exponent, "projection-constant growth against dimension-power models", True,
+                              {"budget": 2}),
+    "suite:lemma5": (_run_suite_lemma5, "triangle defect of interpolated gauges across the convexity threshold", True,
+                     {"budget": 200}),
+    "suite:weak-cotype2": (_run_suite_weak_cotype2, "approximation-number profiles of random Gaussian embeddings", True,
+                           {"trials": 2, "samples": 6000}),
 }
+
+# config fields that only the experiments declaring them take
+_PARAMETERS = tuple(f.name for f in fields(ExperimentConfig) if f.name not in ("experiment", "seed", "output"))
 
 OBSERVATIONAL_NOTE = (
     "observational: trend data only, no numeric threshold is asserted"
@@ -1071,10 +1059,11 @@ OBSERVATIONAL_NOTE = (
 
 
 def list_experiments() -> tuple[dict, ...]:
-    """Catalogue of registered experiments and suites."""
+    """Catalogue of registered experiments and suites, each with its
+    declared parameters and their defaults."""
     return tuple(
-        {"name": name, "description": desc, "observational": obs}
-        for name, (fn, desc, obs) in _REGISTRY.items()
+        {"name": name, "description": desc, "observational": obs, "parameters": dict(params)}
+        for name, (fn, desc, obs, params) in _REGISTRY.items()
     )
 
 
@@ -1085,6 +1074,8 @@ def suite_names() -> tuple[str, ...]:
 def run(config: ExperimentConfig) -> ExperimentReport:
     """Execute one configured experiment and return its report.
 
+    Unset parameters take the experiment's declared defaults; a set
+    parameter that the experiment does not declare raises ``ValueError``.
     Reports are deterministic functions of the config (records and
     verdicts); only ``wallclock_seconds`` varies between runs."""
     if config.experiment not in _REGISTRY:
@@ -1092,7 +1083,14 @@ def run(config: ExperimentConfig) -> ExperimentReport:
             f"unknown experiment {config.experiment!r}; "
             f"known: {', '.join(sorted(_REGISTRY))}"
         )
-    fn, desc, observational = _REGISTRY[config.experiment]
+    fn, desc, observational, params = _REGISTRY[config.experiment]
+    unread = [k for k in _PARAMETERS if k not in params and getattr(config, k) not in (None, ())]
+    if unread:
+        raise ValueError(
+            f"{config.experiment} does not read {', '.join(unread)}; "
+            f"it takes {', '.join(params) or 'no parameters'}, besides seed and output"
+        )
+    config = replace(config, **{k: v for k, v in params.items() if getattr(config, k) in (None, ())})
     start = time.perf_counter()
     records, verdicts = fn(config)
     elapsed = time.perf_counter() - start

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qnlab.cli as cli
-from qnlab import sidon
+from qnlab import harness, sidon
 from qnlab.harness import (
     ExperimentConfig,
     format_space,
@@ -20,6 +20,14 @@ from qnlab.harness import (
     write_report,
 )
 from qnlab.spaces import Polytope, Quadratic, RConvexAtoms, Schatten, WeightedLp
+
+EXPERIMENTS = {entry["name"]: entry for entry in list_experiments()}
+
+
+def _dim2_spaces(experiment: str) -> tuple[str, ...]:
+    """The experiment's default spaces, at dim 2 instead of 3 (faster)."""
+    return tuple(s.replace("dim=3", "dim=2") for s in EXPERIMENTS[experiment]["parameters"]["spaces"])
+
 
 ROUND_TRIP_TEXTS = [
     "euclidean dim=3",
@@ -76,18 +84,14 @@ class TestSpaceGrammar:
 class TestExperimentConfig:
     def test_json_round_trip(self):
         cfg = ExperimentConfig(
-            experiment="volume", spaces=("lp p=0.5 dim=2",), seed=3,
-            samples=20_000, extra={"note": "x"},
+            experiment="sidon", spaces=("lp p=0.5 dim=2",), seed=3,
+            trials=2, characters="all",
         )
         assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"experiment": "volume", "bogus": 1})
-
-    def test_extra_must_be_json_serializable(self):
-        with pytest.raises(TypeError):
-            ExperimentConfig(experiment="volume", extra={"bad": object()})
 
     def test_type_coercion(self):
         cfg = ExperimentConfig(experiment="volume", seed="5", dim="3")
@@ -118,10 +122,10 @@ class TestRegistryAndRuns:
     @pytest.mark.parametrize(
         "config",
         [
-            ExperimentConfig(experiment="volume", seed=1, dim=2, samples=20_000),
-            ExperimentConfig(experiment="ellipsoid", seed=1, dim=2),
-            ExperimentConfig(experiment="typecotype", seed=1, dim=2),
-            ExperimentConfig(experiment="gamma2", seed=1, dim=2),
+            ExperimentConfig(experiment="volume", seed=1, spaces=_dim2_spaces("volume"), samples=20_000),
+            ExperimentConfig(experiment="ellipsoid", seed=1, spaces=_dim2_spaces("ellipsoid")),
+            ExperimentConfig(experiment="typecotype", seed=1, spaces=_dim2_spaces("typecotype")),
+            ExperimentConfig(experiment="gamma2", seed=1, spaces=_dim2_spaces("gamma2")),
             ExperimentConfig(experiment="sidon", seed=1),
         ],
         ids=lambda c: c.experiment,
@@ -152,9 +156,53 @@ class TestRegistryAndRuns:
         b = json.dumps(run(cfg).payload(), sort_keys=True)
         assert a == b
 
+    def test_parameter_the_experiment_does_not_declare_is_rejected(self):
+        with pytest.raises(ValueError, match="suite:lemma11 does not read trials"):
+            run(ExperimentConfig(experiment="suite:lemma11", trials=3))
+        with pytest.raises(ValueError, match="volume does not read dim"):
+            run(ExperimentConfig(experiment="volume", dim=2))
+        with pytest.raises(ValueError, match="sidon takes at most one space"):
+            run(ExperimentConfig(experiment="sidon", spaces=("euclidean dim=2", "lp p=1 dim=3")))
+
+    def test_echo_holds_the_declared_parameters_that_ran(self):
+        config = run(ExperimentConfig(experiment="suite:theorem6")).payload()["config"]
+        assert config == {"experiment": "suite:theorem6", "seed": 0, "output": None, "budget": 4, "trials": 3}
+        config = run(ExperimentConfig(experiment="suite:theorem15", trials=1)).payload()["config"]
+        assert config["trials"] == 1 and config["samples"] is None  # samples are per case unless set
+
+    @pytest.mark.parametrize("name", [name for name, e in EXPERIMENTS.items() if not e["observational"]])
+    def test_echo_reruns_to_the_same_payload(self, name):
+        # criterion 10 reruns the observational suites through their echo
+        payload = run(ExperimentConfig(experiment=name)).payload()
+        again = run(ExperimentConfig.from_dict(payload["config"])).payload()
+        assert json.dumps(again, sort_keys=True) == json.dumps(payload, sort_keys=True)
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_runner_reads_every_declared_parameter(self, name, monkeypatch):
+        fn, *entry = harness._REGISTRY[name]
+        reads = set()
+
+        class Recorder:
+            def __init__(self, config):
+                self._config = config
+
+            def __getattr__(self, attr):
+                reads.add(attr)
+                return getattr(self._config, attr)
+
+        monkeypatch.setitem(harness._REGISTRY, name, (lambda config: fn(Recorder(config)), *entry))
+        run(ExperimentConfig(experiment=name))
+        assert set(EXPERIMENTS[name]["parameters"]) <= reads
+
+    @pytest.mark.parametrize("group", ["3", "2,4"])
+    def test_sidon_on_groups_that_are_not_sign_groups(self, group):
+        report = run(ExperimentConfig(experiment="sidon", group=group))
+        assert report.passed is True
+        assert not any("sign averages" in v["name"] for v in report.verdicts)
+
     def test_seed_changes_monte_carlo_records(self):
-        base = ExperimentConfig(experiment="volume", seed=1, dim=2, samples=20_000)
-        other = ExperimentConfig(experiment="volume", seed=2, dim=2, samples=20_000)
+        base = ExperimentConfig(experiment="volume", seed=1, spaces=_dim2_spaces("volume"), samples=20_000)
+        other = ExperimentConfig(experiment="volume", seed=2, spaces=_dim2_spaces("volume"), samples=20_000)
         va = run(base).records[0]["mc_value"]
         vb = run(other).records[0]["mc_value"]
         assert va != vb
@@ -202,7 +250,7 @@ class TestExperimentLoops:
 
         monkeypatch.setattr(sidon, "sidon_constant", counted)
         monkeypatch.setattr(sidon, "linprog", counted_lp)
-        report = run(ExperimentConfig(experiment="sidon", group="z2^3", extra={"characters": "all"}))
+        report = run(ExperimentConfig(experiment="sidon", group="z2^3", characters="all"))
         assert report.passed is True
         assert len(calls) == 1
         assert len(lps) == 16  # one per orbit: 2^8 sign patterns over |W| = 16
@@ -218,13 +266,13 @@ class TestReports:
         assert isinstance(data["records"], list)
 
     def test_csv_flattening(self):
-        report = run(ExperimentConfig(experiment="volume", seed=1, dim=2, samples=20_000))
+        report = run(ExperimentConfig(experiment="volume", seed=1, spaces=_dim2_spaces("volume"), samples=20_000))
         lines = report.to_csv().splitlines()
         assert len(lines) == 1 + len(report.records)
         assert "rel_error" in lines[0].split(",")
 
     def test_write_report_json_and_csv(self, tmp_path):
-        report = run(ExperimentConfig(experiment="volume", seed=1, dim=2, samples=20_000))
+        report = run(ExperimentConfig(experiment="volume", seed=1, spaces=_dim2_spaces("volume"), samples=20_000))
         jpath = tmp_path / "out.json"
         cpath = tmp_path / "out.csv"
         write_report(report, str(jpath))
@@ -234,12 +282,13 @@ class TestReports:
 
     def test_run_writes_output_path(self, tmp_path):
         out = tmp_path / "report.json"
-        run(ExperimentConfig(experiment="volume", seed=1, dim=2, samples=20_000, output=str(out)))
+        run(ExperimentConfig(experiment="volume", seed=1, spaces=_dim2_spaces("volume"), samples=20_000,
+                             output=str(out)))
         assert out.exists()
 
 
 SCALAR_CONFIG_FIELDS = [
-    f.name for f in fields(ExperimentConfig) if f.name not in ("experiment", "spaces", "extra")
+    f.name for f in fields(ExperimentConfig) if f.name not in ("experiment", "spaces")
 ]
 
 
@@ -257,7 +306,7 @@ class TestCli:
         assert "suite:lemma11" in out
 
     def test_run_experiment(self, capsys):
-        assert cli.main(["run", "volume", "--dim", "2", "--samples", "20000", "--seed", "1"]) == 0
+        assert cli.main(["run", "volume", "--space", "lp p=0.5 dim=2", "--samples", "20000", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert "[pass]" in out
         assert "PASS" in out
@@ -273,7 +322,7 @@ class TestCli:
 
     def test_output_flag_writes_file(self, tmp_path, capsys):
         out = tmp_path / "vol.json"
-        code = cli.main(["run", "volume", "--dim", "2", "--samples", "20000",
+        code = cli.main(["run", "volume", "--space", "lp p=0.5 dim=2", "--samples", "20000",
                          "--seed", "1", "--output", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["experiment"] == "volume"
@@ -281,7 +330,8 @@ class TestCli:
 
     def test_config_file_overrides_flags(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"experiment": "volume", "dim": 2, "samples": 20_000, "seed": 9}))
+        cfg_path.write_text(json.dumps({"experiment": "volume", "spaces": list(_dim2_spaces("volume")),
+                                        "samples": 20_000, "seed": 9}))
         out = tmp_path / "report.json"
         code = cli.main(["run", "volume", "--seed", "1", "--config", str(cfg_path),
                          "--output", str(out)])
@@ -290,11 +340,24 @@ class TestCli:
         assert data["config"]["seed"] == 9
         capsys.readouterr()
 
-    def test_extra_flag_round_trips(self, tmp_path, capsys):
+    def test_characters_flag_round_trips(self, tmp_path, capsys):
         out = tmp_path / "sidon.json"
-        code = cli.main(["run", "sidon", "--seed", "1", "--extra", "characters=coordinate",
+        code = cli.main(["run", "sidon", "--seed", "1", "--characters", "all",
                          "--output", str(out)])
         assert code == 0
         data = json.loads(out.read_text())
-        assert data["config"]["extra"]["characters"] == "coordinate"
+        assert data["config"]["characters"] == "all"
         capsys.readouterr()
+
+    def test_flag_the_experiment_does_not_read_is_error(self, capsys):
+        code = cli.main(["suite:horn", "--trials", "2", "--theta", "3", "--p", "9", "--tolerance", "-1",
+                         "--dim", "50", "--samples", "1", "--budget", "9", "--group", "2,2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "does not read dim, samples, budget, tolerance, theta, p, group; it takes trials" in err
+
+    def test_list_shows_parameters_and_defaults(self, capsys):
+        assert cli.main(["list"]) == 0
+        out = capsys.readouterr().out
+        assert "parameters: budget=4, trials=3" in out
+        assert "parameters: trials=2, samples=(derived)" in out
