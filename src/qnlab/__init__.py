@@ -65,14 +65,13 @@ from .randsigns import (
 )
 from .factorization import (
     ApproxNumber,
-    DeltaResult,
     DistanceBracket,
     FactorizationWitness,
     Gamma2Result,
     GaussianMean,
     OpNormResult,
     approx_numbers,
-    delta_upper,
+    delta,
     envelope_distance,
     euclidean_distance,
     gamma2_upper,

@@ -1,14 +1,18 @@
 """Operator norms, factorizations through Euclidean space, and the
 derived distance and approximation quantities.
 
-Quantities computed here come with explicit certification semantics:
+Quantities computed here come with explicit certification semantics.
+Operator norms take one route table, ``_exact_op_norm``: zero (a zero
+matrix), atoms (an atomic source against a target of at least its hull
+exponent), dual atoms (any source with a dual space against a target with
+finitely many dual atoms) and quadratic (quadratic source and target).
+Every norm carries one of three kinds: ``exact`` from a route,
+``upper-bound`` from the row bound, ``lower-bound`` from a certified
+search.
 
-* ``op_norm`` is exact when a finite extreme-point description makes the
-  supremum a finite maximum (atomic source against a compatible target,
-  quadratic source against a finite-dual-atom or quadratic target), and a
-  certified lower bound from budgeted search otherwise; the factor and
-  residual norms below take the same exact routes, then the row bound
-  (a true upper bound), then an uncertified search value;
+* ``op_norm`` is exact on a route and a searched lower bound otherwise;
+  the factor and residual norms below (``_norm_bound``) take the same
+  routes, then the row bound, then a short search;
 * ``gamma2_upper`` reports the bracket [search lower bound on the operator
   norm, best factorization product found]; the product is a true upper
   bound exactly when both factor norms were evaluated exactly or as
@@ -17,6 +21,8 @@ Quantities computed here come with explicit certification semantics:
   parallelogram-defect lower bound evaluated on vector pairs;
 * ``envelope_distance`` is a certified lower bound with witness: the gauge
   maximized over the convex-envelope unit sphere;
+* ``delta`` is the operator norm from the envelope source, which is the
+  least factorization product through a Banach space;
 * ``approx_numbers`` is exact (a singular value) for quadratic targets and
   an upper bound from low-rank fitting otherwise.
 """
@@ -53,14 +59,16 @@ def _search_op_norm(u: OperatorSpec, budget: int, rng: RandomSource) -> float:
 
 
 def _exact_op_norm(u: OperatorSpec) -> float | None:
-    """The operator norm by an exact route, or None when none applies.
+    """The operator norm by the first exact route that applies, or None.
 
-    A zero matrix has norm 0.  An atomic source whose hull exponent does
-    not exceed the target's triangle exponent gives a finite maximum over
-    its atoms; a quadratic source gives the largest singular value of the
-    rescaled matrix against a quadratic target, and the largest Euclidean
-    norm of the pulled-back functionals against a target with finitely
-    many dual atoms.
+    * zero: a zero matrix has norm 0;
+    * atoms: an atomic source whose hull exponent does not exceed the
+      target's triangle exponent gives a finite maximum over its atoms;
+    * dual atoms: a target gauge that is the max over dual atoms F, with a
+      source that has a dual space X°, gives max over f in F of the dual
+      gauge of M' f (the support function of the source ball);
+    * quadratic: a quadratic source and target give the largest singular
+      value of the rescaled matrix.
     """
     m = np.asarray(u.matrix)
     if not np.any(m):
@@ -68,54 +76,51 @@ def _exact_op_norm(u: OperatorSpec) -> float | None:
     atoms = u.source.ball_atoms()
     if atoms is not None and atoms[1] <= u.target.r_exponent + 1e-15:
         return float(u.target.gauge_many(atoms[0] @ m.T).max())
-    qs = u.source.quadratic_form
-    if qs is None:
-        return None
-    inv_half = spd_power(qs, -0.5)
-    qt = u.target.quadratic_form
-    if qt is not None:
-        return float(singular_values(spd_power(qt, 0.5) @ m @ inv_half)[0])
     dual = u.target.dual_atoms()
-    if dual is None:
+    source_dual = None if dual is None else u.source.dual_space()
+    if source_dual is not None:
+        return float(source_dual.gauge_many(dual @ m).max())
+    qs, qt = u.source.quadratic_form, u.target.quadratic_form
+    if qs is None or qt is None:
         return None
-    pulled = dual @ m @ inv_half
-    return float(np.sqrt((pulled**2).sum(axis=1)).max())
+    return float(singular_values(spd_power(qt, 0.5) @ m @ spd_power(qs, -0.5))[0])
 
 
 def op_norm(u: OperatorSpec, budget: int = 2000, rng: RandomSource = RandomSource(0)) -> OpNormResult:
     """Largest gauge amplification of the operator: exact (kind ``exact``)
-    on the routes of ``_exact_op_norm``, else a certified lower bound (kind
+    on the zero, atoms, dual-atom and quadratic routes of
+    ``_exact_op_norm``, else a certified lower bound (kind
     ``lower-bound``) from coordinate ascent, ``budget`` evaluations per
-    start, from the axes, the ones vector and seeded Gaussian starts."""
+    start, from the axes, the ones vector and seeded Gaussian starts.
+    ``budget`` must be positive whichever way the norm is found."""
+    if budget <= 0:
+        raise ValueError("op_norm needs a positive budget")
     exact = _exact_op_norm(u)
     if exact is not None:
         return OpNormResult(exact, "exact")
-    if budget <= 0:
-        raise ValueError("the search needs a positive budget")
     return OpNormResult(_search_op_norm(u, budget, rng), "lower-bound")
 
 
 def _norm_bound(
     matrix: np.ndarray, source: QuasiNormedSpace, target: QuasiNormedSpace, rng: RandomSource
-) -> tuple[float, bool]:
-    """The operator norm when an exact route gives it, else a true upper
-    bound when one is available, else a 500-evaluation search value; with
-    whether the value bounds the norm from above (``certified``).
+) -> OpNormResult:
+    """The operator norm by the zero, atoms, dual-atom and quadratic routes
+    of ``_exact_op_norm`` (kind ``exact``), else the row bound (kind
+    ``upper-bound``), else a 500-evaluation search (kind ``lower-bound``).
 
-    Beyond the exact routes, a quadratic source against an unconditional
-    target admits the row bound: the target gauge of the vector of
-    whitened row lengths, since every coordinate of the image is at most
-    its row's length.
+    The row bound applies to a quadratic source against an unconditional
+    target: the target gauge of the vector of whitened row lengths, since
+    every coordinate of the image is at most its row's length.
     """
     u = OperatorSpec(matrix, source, target)
     exact = _exact_op_norm(u)
     if exact is not None:
-        return exact, True
+        return OpNormResult(exact, "exact")
     qs = source.quadratic_form
     if qs is not None and target.is_unconditional:
         rows = np.asarray(matrix) @ spd_power(qs, -0.5)
-        return target.gauge(np.sqrt((rows**2).sum(axis=1))), True
-    return _search_op_norm(u, 500, rng), False
+        return OpNormResult(target.gauge(np.sqrt((rows**2).sum(axis=1))), "upper-bound")
+    return OpNormResult(_search_op_norm(u, 500, rng), "lower-bound")
 
 
 @dataclass(frozen=True)
@@ -150,9 +155,9 @@ def _factor_norms(
     rng: RandomSource,
 ) -> tuple[float, float, bool]:
     middle = WeightedLp.euclidean(w.shape[0])
-    nw, w_ok = _norm_bound(w, source, middle, rng)
-    nv, v_ok = _norm_bound(v, middle, target, rng)
-    return nw, nv, w_ok and v_ok
+    nw = _norm_bound(w, source, middle, rng)
+    nv = _norm_bound(v, middle, target, rng)
+    return nw.value, nv.value, "lower-bound" not in (nw.kind, nv.kind)
 
 
 def gamma2_upper(
@@ -273,29 +278,19 @@ def envelope_distance(
     return ConstantEstimate(best_v, "certified-lower-bound", best_x / env)
 
 
-@dataclass(frozen=True)
-class DeltaResult:
-    upper: float  # the envelope-source norm: delta if kind is exact, else a lower bound on it
-    lower: float  # operator norm lower bound (delta >= op norm)
-    kind: str  # certification of the upper evaluation
-
-
-def delta_upper(u: OperatorSpec, budget: int = 2000, rng: RandomSource = RandomSource(0)) -> DeltaResult:
+def delta(u: OperatorSpec, budget: int = 2000, rng: RandomSource = RandomSource(0)) -> OpNormResult:
     """The least factorization product delta(u) through a Banach space.
 
     By the universal property of the Banach envelope (Kalton, Peck and
     Roberts, *An F-space sampler*), delta(u) equals the operator norm taken
     from the envelope gauge: every bounded map into a Banach space keeps its
     norm on the convex hull of the source ball, and the identity onto the
-    envelope attains it.  So ``upper`` is delta when that norm has an exact
-    route (kind ``exact``), and a certified lower bound on delta when it was
-    searched.  ``lower`` is the plain operator norm, which never exceeds
-    delta.
+    envelope attains it.  So this is ``op_norm`` from the envelope source:
+    delta itself when a route gives that norm (kind ``exact``), and a
+    certified lower bound on delta when it was searched (kind
+    ``lower-bound``).
     """
-    env = u.source.envelope_space()
-    upper_res = op_norm(OperatorSpec(u.matrix, env, u.target), budget, rng)
-    lower = op_norm(u, budget, rng.split(1)).value
-    return DeltaResult(upper_res.value, lower, upper_res.kind)
+    return op_norm(OperatorSpec(u.matrix, u.source.envelope_space(), u.target), budget, rng)
 
 
 @dataclass(frozen=True)
@@ -343,9 +338,9 @@ def approx_numbers(
     Exact (a singular value of the rescaled matrix) for quadratic source
     and target.  Otherwise the smallest residual norm found from a
     truncated-SVD initialization refined by perturbing the low-rank
-    factors: kind ``upper-bound`` when every residual norm it kept came
-    from an exact route or the row bound, and ``search`` when one was a
-    searched lower estimate of that residual's norm.
+    factors: kind ``upper-bound`` when the kept residual's norm came from
+    an exact route or the row bound, and ``search`` when it was a searched
+    lower estimate of that norm.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -370,17 +365,15 @@ def approx_numbers(
     r = k - 1
     a = u_left[:, :r] * s[:r][None, :]
     b = vt[:r]
-    best, ok = _norm_bound(m - a @ b, middle, u.target, rng.split(9))
-    if r == 0:
-        return ApproxNumber(best, "upper-bound" if ok else "search")
+    best = _norm_bound(m - a @ b, middle, u.target, rng.split(9))
     scale = 0.3 * s[0]
-    for i in range(max(budget, 0)):
+    for i in range(budget if r else 0):  # a rank-0 fit has nothing to perturb
         gen = rng.split(11, i).generator()
         a2 = a + scale * gen.standard_normal(a.shape)
         b2 = b + scale * gen.standard_normal(b.shape)
-        val, ok2 = _norm_bound(m - a2 @ b2, middle, u.target, rng.split(9))
-        if val < best:
-            best, a, b, ok = val, a2, b2, ok and ok2
+        res = _norm_bound(m - a2 @ b2, middle, u.target, rng.split(9))
+        if res.value < best.value:
+            best, a, b = res, a2, b2
         else:
             scale *= 0.7
-    return ApproxNumber(best, "upper-bound" if ok else "search")
+    return ApproxNumber(best.value, "search" if best.kind == "lower-bound" else "upper-bound")

@@ -319,6 +319,8 @@ def santalo_check(
     if space.r_exponent != 1.0:
         raise ValueError("polar comparison needs a convex ball")
     dual = space.dual_space()
+    if dual is None:
+        raise ValueError(f"{type(space).__name__} has no dual ball representation")
     d = space.dim
     outer_ell = mvee_of_ball(space)
     vb = volume(space, "auto", rng.split(0), samples)

@@ -574,7 +574,7 @@ def _run_gamma2(config: ExperimentConfig):
         g = factorization.gamma2_upper(ident, budget=config.budget, rng=rng.split(10, i))
         ed = factorization.euclidean_distance(sp, budget=config.budget, rng=rng.split(11, i))
         env = factorization.envelope_distance(sp, budget=config.budget, rng=rng.split(12, i))
-        delta = factorization.delta_upper(ident, rng=rng.split(13, i))
+        delta = factorization.delta(ident, rng=rng.split(13, i))
         records.append(
             {
                 "space": name,
@@ -584,7 +584,7 @@ def _run_gamma2(config: ExperimentConfig):
                 "euclidean_lower": ed.lower,
                 "euclidean_upper": ed.upper,
                 "envelope_distance": env.value,
-                "delta_upper": delta.upper,
+                "delta": delta.value,
                 "delta_kind": delta.kind,
             }
         )
@@ -625,8 +625,8 @@ def _run_gamma2(config: ExperimentConfig):
             verdicts.append(
                 _verdict(
                     f"identity envelope route matches distance {name}",
-                    abs(delta.upper - env.value) <= 1e-3 * max(1.0, env.value),
-                    f"route {delta.upper:.6f} vs distance {env.value:.6f}",
+                    abs(delta.value - env.value) <= 1e-3 * max(1.0, env.value),
+                    f"route {delta.value:.6f} vs distance {env.value:.6f}",
                 )
             )
     return records, verdicts
@@ -876,9 +876,10 @@ def _run_suite_theorem8(config: ExperimentConfig):
         ]
 
     def bound(u, rng):
-        res = factorization.delta_upper(u, budget=config.budget, rng=rng)
-        found = {"op_lower": res.lower, "delta_upper": res.upper, "upper_kind": res.kind}
-        return res.lower, res.upper, found
+        res = factorization.delta(u, budget=config.budget, rng=rng)
+        lower = factorization.op_norm(u, config.budget, rng.split(1)).value
+        found = {"op_lower": lower, "delta": res.value, "delta_kind": res.kind}
+        return lower, res.value, found
 
     return _ratio_sweep(config, 21, pairs_of, bound)
 

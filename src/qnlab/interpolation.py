@@ -470,9 +470,6 @@ class ThetaParams:
             raise ValueError("need a positive split-search budget")
 
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
 @dataclass(frozen=True)
 class ThetaNormResult:
     value: float
@@ -502,7 +499,7 @@ def theta_norm(pair: NormPair, params: ThetaParams, x) -> ThetaNormResult:
         ks = _search_k(pair, ts, v, 2.0, params.budget)
     u = np.log(ts)
     integrand = ks**2 * np.exp(-2.0 * th * u)
-    core = float(_trapezoid(integrand, u))
+    core = float(np.trapezoid(integrand, u))
     g0x = pair.space0.gauge(v)
     g1x = pair.space1.gauge(v)
     low_tail = g1x**2 * params.t_min ** (2.0 - 2.0 * th) / (2.0 - 2.0 * th)

@@ -10,16 +10,17 @@ representations:
 * :class:`RConvexAtoms` -- r-convex hulls of small atom sets, 0 < r <= 1.
 
 Every space knows its gauge (Minkowski functional of the unit ball) and
-the gauge of its convex envelope; weighted Lp spaces and polytopes also
-give their dual space, whose gauge is the support function of the
-envelope ball.  Each kind evaluates its gauge in one batched kernel
-over rows; the scalar gauge is that kernel on one row, and the envelope
-gauge is the gauge of the envelope space, built once per space.  The
-facts that exact routes elsewhere rest on are methods of the kind, ``None``
-where a kind lacks them: the quadratic form, per-coordinate scales, the
-ball's finite generators with their hull exponent, the dual ball's atoms,
-the closed-form enclosing and inscribed ellipsoids, and the exact volume
-with its route.
+the gauge of its convex envelope; weighted Lp spaces, quadratic balls and
+polytopes also give their dual space, whose gauge is the support function
+of the envelope ball, and the other kinds return None for it.  Each kind
+evaluates its gauge in one batched kernel over rows; the scalar gauge is
+that kernel on one row, and the envelope gauge is the gauge of the
+envelope space, built once per space.  The facts that exact routes
+elsewhere rest on are methods of the kind, ``None`` where a kind lacks
+them: the quadratic form, per-coordinate scales, the ball's finite
+generators with their hull exponent, the dual space and the dual ball's
+atoms, the closed-form enclosing and inscribed ellipsoids, and the exact
+volume with its route.
 Gauges satisfy the r-triangle inequality
 ``gauge(x + y)**r <= gauge(x)**r + gauge(y)**r`` for the space's
 ``r_exponent``.  Spaces are immutable values: array fields are copied and
@@ -60,6 +61,7 @@ from .numkernel import (
     frozen_array,
     orthonormal_complement,
     require_symmetric_rows,
+    spd_power,
 )
 
 MAX_ATOMS = 12
@@ -118,10 +120,10 @@ class QuasiNormedSpace:
             f"{type(self).__name__} has no finite atomic description"
         )
 
-    def dual_space(self) -> "QuasiNormedSpace":
+    def dual_space(self) -> "QuasiNormedSpace | None":
         """Space whose gauge is this space's dual gauge, the support
-        function of the envelope ball (exact)."""
-        raise ValueError(f"{type(self).__name__} has no dual ball representation")
+        function of the envelope ball (exact), or None."""
+        return None
 
     @property
     def quadratic_form(self) -> np.ndarray | None:
@@ -357,6 +359,10 @@ class Quadratic(QuasiNormedSpace):
 
     def _gauge_rows(self, pts: np.ndarray) -> np.ndarray:
         return np.sqrt(np.einsum("ij,jk,ik->i", pts, self.matrix, pts))
+
+    def dual_space(self) -> "Quadratic":
+        """The polar ellipsoid, of A^-1: its gauge is sqrt(f' A^-1 f)."""
+        return Quadratic(spd_power(self.matrix, -1.0))
 
     def coordinate_scales(self, s: float) -> np.ndarray | None:
         a = self.matrix

@@ -316,6 +316,10 @@ class TestPolarVolumeComparison:
             poly = Polytope(np.vstack([verts, -verts]))
             assert santalo_check(poly).passed
 
+    def test_kind_without_dual_space_is_rejected(self):
+        with pytest.raises(ValueError, match="Schatten"):
+            santalo_check(Schatten(1.0, 2, 2))
+
 
 class TestSplitVolumeInequality:
     @pytest.mark.parametrize(

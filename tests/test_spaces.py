@@ -148,6 +148,13 @@ class TestDualGauges:
         assert dual(WeightedLp.unweighted(math.inf, 2), [3.0, -4.0]) == pytest.approx(7.0)
         # concave-exponent ball has the same extreme points as its envelope
         assert dual(WeightedLp.unweighted(0.5, 2), [3.0, 1.0]) == pytest.approx(3.0)
+        a = np.array([[2.0, 0.5], [0.5, 1.0]])
+        f = np.array([1.0, -2.0])
+        assert dual(Quadratic(a), f) == pytest.approx(math.sqrt(f @ np.linalg.solve(a, f)), rel=1e-12)
+
+    def test_kinds_without_dual_space(self):
+        assert Schatten(1.0, 2, 2).dual_space() is None
+        assert RConvexAtoms(np.eye(2), 0.5).dual_space() is None
 
     def test_polytope_dual(self):
         assert SQUARE.dual_space().gauge([1.0, 0.0]) == pytest.approx(1.0)
@@ -156,7 +163,8 @@ class TestDualGauges:
     @given(finite_vectors(2), finite_vectors(2))
     @settings(max_examples=60, deadline=None)
     def test_pairing_bounded_by_dual_times_gauge(self, f, x):
-        for sp in (WeightedLp.unweighted(1.0, 2), WeightedLp.euclidean(2), SQUARE):
+        quad = Quadratic(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        for sp in (WeightedLp.unweighted(1.0, 2), WeightedLp.euclidean(2), SQUARE, quad):
             lhs = abs(float(f @ x))
             rhs = sp.dual_space().gauge(f) * sp.gauge(x)
             assert lhs <= rhs * (1 + 1e-9) + 1e-9
