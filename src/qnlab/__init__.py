@@ -30,7 +30,6 @@ from .geometry import (
     inscribed_ellipsoid,
     mvee,
     mvee_of_ball,
-    rhull_volume_defect,
     santalo_check,
     section_projection_volume_check,
     unit_ball_volume,

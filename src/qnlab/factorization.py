@@ -5,7 +5,9 @@ Quantities computed here come with explicit certification semantics.
 Operator norms take one route table, ``_exact_op_norm``: zero (a zero
 matrix), atoms (an atomic source against a target of at least its hull
 exponent), dual atoms (any source with a dual space against a target with
-finitely many dual atoms) and quadratic (quadratic source and target).
+finitely many dual atoms), quadratic (quadratic source and target) and
+Hölder (a diagonal map between weighted Lp spaces).  The same table gives
+the equivalence constants of two spaces, as norms of the identity.
 Every norm carries one of three kinds: ``exact`` from a route,
 ``upper-bound`` from the row bound, ``lower-bound`` from a certified
 search.
@@ -68,7 +70,10 @@ def _exact_op_norm(u: OperatorSpec) -> float | None:
       source that has a dual space X°, gives max over f in F of the dual
       gauge of M' f (the support function of the source ball);
     * quadratic: a quadratic source and target give the largest singular
-      value of the rescaled matrix.
+      value of the rescaled matrix;
+    * Hölder: a square diagonal D between kinds with an ``lp_form``,
+      ||x / s||_p and ||y / t||_q, gives ``_lp_ratio_sup(|diag D| s / t,
+      p, q)``.
     """
     m = np.asarray(u.matrix)
     if not np.any(m):
@@ -81,15 +86,28 @@ def _exact_op_norm(u: OperatorSpec) -> float | None:
     if source_dual is not None:
         return float(source_dual.gauge_many(dual @ m).max())
     qs, qt = u.source.quadratic_form, u.target.quadratic_form
-    if qs is None or qt is None:
+    if qs is not None and qt is not None:
+        return float(singular_values(spd_power(qt, 0.5) @ m @ spd_power(qs, -0.5))[0])
+    ls, lt = u.source.lp_form(), u.target.lp_form()
+    if ls is None or lt is None or m.shape[0] != m.shape[1] or np.any(m - np.diag(np.diag(m))):
         return None
-    return float(singular_values(spd_power(qt, 0.5) @ m @ spd_power(qs, -0.5))[0])
+    return _lp_ratio_sup(np.abs(np.diag(m)) * ls[1] / lt[1], ls[0], lt[0])
+
+
+def _lp_ratio_sup(a: np.ndarray, p: float, q: float) -> float:
+    """``sup over y != 0 of ||a y||_q / ||y||_p`` for a >= 0, not all 0:
+    max a_i when q >= p (an axis attains it), else ||a||_rho with
+    1/rho = 1/q - 1/p (Hölder; y = a^(rho/p) attains it)."""
+    top = float(a.max())
+    if q >= p:
+        return top
+    rho = 1.0 / (1.0 / q - 1.0 / p)
+    return top * float(np.sum((a / top) ** rho) ** (1.0 / rho))  # overflow-safe
 
 
 def op_norm(u: OperatorSpec, budget: int = 2000, rng: RandomSource = RandomSource(0)) -> OpNormResult:
     """Largest gauge amplification of the operator: exact (kind ``exact``)
-    on the zero, atoms, dual-atom and quadratic routes of
-    ``_exact_op_norm``, else a certified lower bound (kind
+    on the routes of ``_exact_op_norm``, else a certified lower bound (kind
     ``lower-bound``) from coordinate ascent, ``budget`` evaluations per
     start, from the axes, the ones vector and seeded Gaussian starts.
     ``budget`` must be positive whichever way the norm is found."""
@@ -104,9 +122,9 @@ def op_norm(u: OperatorSpec, budget: int = 2000, rng: RandomSource = RandomSourc
 def _norm_bound(
     matrix: np.ndarray, source: QuasiNormedSpace, target: QuasiNormedSpace, rng: RandomSource
 ) -> OpNormResult:
-    """The operator norm by the zero, atoms, dual-atom and quadratic routes
-    of ``_exact_op_norm`` (kind ``exact``), else the row bound (kind
-    ``upper-bound``), else a 500-evaluation search (kind ``lower-bound``).
+    """The operator norm by the routes of ``_exact_op_norm`` (kind
+    ``exact``), else the row bound (kind ``upper-bound``), else a
+    500-evaluation search (kind ``lower-bound``).
 
     The row bound applies to a quadratic source against an unconditional
     target: the target gauge of the vector of whitened row lengths, since
@@ -176,21 +194,15 @@ def gamma2_upper(
     """
     m = np.asarray(u.matrix)
     dy, dx = m.shape
-    s_all = singular_values(m) if np.any(m) else np.zeros(min(dx, dy))
-    rank = int(np.sum(s_all > (s_all[0] if s_all.size else 0.0) * 1e-12))
-    k = max(rank, 1)
     if not np.any(m):
-        witness = FactorizationWitness(k, np.zeros((k, dx)), np.zeros((dy, k)), 0.0, 0.0)
+        witness = FactorizationWitness(1, np.zeros((1, dx)), np.zeros((dy, 1)), 0.0, 0.0)
         return Gamma2Result(0.0, 0.0, witness, True)
+    s, u_left, vt = svd(m)
+    k = int(np.sum(s > s[0] * 1e-12))  # the rank
     lower = op_norm(u, rng=rng.split(0)).value
 
-    s, u_left, vt = svd(m)
-    roots = np.sqrt(s[:rank])
-    w0 = np.zeros((k, dx))
-    v0 = np.zeros((dy, k))
-    w0[:rank] = roots[:, None] * vt[:rank]
-    v0[:, :rank] = u_left[:, :rank] * roots[None, :]
-    candidates = [(w0, v0)]
+    roots = np.sqrt(s[:k])
+    candidates = [(roots[:, None] * vt[:k], u_left[:, :k] * roots[None, :])]
     if dx == dy == k and np.allclose(m, np.eye(dx), atol=1e-12):
         try:
             q = mvee_of_ball(u.source).shape
@@ -352,8 +364,8 @@ def approx_numbers(
     m = np.asarray(u.matrix) @ spd_power(qs, -0.5)  # operator from the standard Euclidean ball
     if not np.any(m):
         return ApproxNumber(0.0, "exact")
-    s_all = singular_values(m)
-    rank = int(np.sum(s_all > s_all[0] * 1e-12))
+    s, u_left, vt = svd(m)
+    rank = int(np.sum(s > s[0] * 1e-12))
     if k > rank:
         return ApproxNumber(0.0, "exact")
     qt = u.target.quadratic_form
@@ -361,7 +373,6 @@ def approx_numbers(
         return ApproxNumber(float(singular_values(spd_power(qt, 0.5) @ m)[k - 1]), "exact")
 
     middle = WeightedLp.euclidean(u.source.dim)
-    s, u_left, vt = svd(m)
     r = k - 1
     a = u_left[:, :r] * s[:r][None, :]
     b = vt[:r]

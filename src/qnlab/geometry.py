@@ -42,10 +42,8 @@ from .numkernel import (
     spd_power,
 )
 from .spaces import (
-    Polytope,
     Quadratic,
     QuasiNormedSpace,
-    RConvexAtoms,
     WeightedLp,
     coordinate_section,
     unit_ball_volume,  # re-exported: geometry is its public home
@@ -372,31 +370,3 @@ def section_projection_volume_check(space: WeightedLp, subset) -> SplitVolumeRes
     bound = math.comb(n * beta, k * beta)
     return SplitVolumeResult(ratio, bound, idx, ratio <= bound * (1.0 + 1e-9))
 
-
-def rhull_volume_defect(
-    space: Polytope,
-    r: float,
-    rng: RandomSource = RandomSource(0),
-    samples: int = 100_000,
-) -> RatioEstimate:
-    """Volume defect of r-convexifying a polytope's extreme points.
-
-    Returns ``(vol B / vol co_r(extreme points)) ** (1/dim)``.  For r = 1
-    the r-hull is the polytope itself and the defect is exactly 1; for
-    r < 1 the hull volume is the radial Monte-Carlo estimate of
-    :func:`volume` over the exact atom gauge.  The polytope's volume must
-    be exact (fan triangulation, dim <= 5); other dimensions raise
-    ``ValueError``.
-    """
-    if not isinstance(space, Polytope):
-        raise ValueError("rhull_volume_defect needs a Polytope")
-    if not (0 < r <= 1):
-        raise ValueError("r must lie in (0, 1]")
-    exact = space.exact_volume()
-    if exact is None:
-        raise ValueError(f"no exact polytope volume in dim {space.dim}")
-    if r == 1.0:
-        return RatioEstimate(1.0, 0.0)
-    hull_space = RConvexAtoms(np.asarray(space.extreme_vertices), r)
-    vol_r = _mc_volume(hull_space, rng, samples)
-    return RatioEstimate(*_volume_root(exact[0], vol_r.value, vol_r, space.dim))

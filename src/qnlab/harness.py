@@ -25,9 +25,10 @@ set parameter that the experiment does not declare:
 ``spaces``
     list of space strings (grammar below);
 ``dim, samples, trials, budget``
-    positive integers;
+    positive integers; these and ``seed`` reject booleans and fractional
+    numbers instead of truncating them;
 ``tolerance, theta, p``
-    floats;
+    floats (not booleans);
 ``group``
     group string, either comma factors ``"2,2,2"`` or ``"z2^3"``;
 ``characters``
@@ -208,16 +209,18 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "spaces", tuple(str(s) for s in self.spaces))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
         for name in ("dim", "samples", "trials", "budget"):
             value = getattr(self, name)
             if value is not None:
-                if int(value) < 1:
+                if _integer(name, value) < 1:
                     raise ValueError(f"{name} must be a positive integer, got {value}")
                 object.__setattr__(self, name, int(value))
         for name in ("tolerance", "theta", "p"):
             value = getattr(self, name)
             if value is not None:
+                if isinstance(value, (bool, np.bool_)):  # float(True) is 1.0
+                    raise ValueError(f"{name} must be a number, got {value!r}")
                 object.__setattr__(self, name, float(value))
 
     def to_dict(self) -> dict:
@@ -235,6 +238,16 @@ class ExperimentConfig:
         kwargs = dict(data)
         kwargs["spaces"] = tuple(kwargs.get("spaces", ()))
         return cls(**kwargs)
+
+
+def _integer(name: str, value) -> int:
+    """``int(value)``, refusing booleans and non-integral numbers that it
+    would silently truncate; integer strings such as ``"5"`` pass."""
+    if isinstance(value, (bool, np.bool_)) or (
+        isinstance(value, (float, np.floating)) and not float(value).is_integer()
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _json_safe(obj):

@@ -39,9 +39,10 @@ general pairs such as weighted l1.5 against weighted l0.5 do.
 
 The returned value is then an upper estimate of the true infimum, bracketed
 below by ``2^(1/s - 1/r) * max(min(1, t c) g0(x), min(1/C, t) g1(x))``
-where c <= g1/g0 <= C are the pair's equivalence constants (in closed form
-for weighted Lp pairs; otherwise sampled with deterministic axis directions
-included, hence exact whenever the ratio extremes sit on axes).
+where c <= g1/g0 <= C are the pair's equivalence constants, the norms of
+the identity in both directions from the exact operator-norm routes
+(``factorization._exact_op_norm``); a pair that no route covers gets the
+lower bound 0.
 """
 
 from __future__ import annotations
@@ -55,13 +56,12 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import minimize
 
-from .factorization import op_norm
+from .factorization import _exact_op_norm, op_norm
 from .numkernel import RandomSource, as_matrix, as_vector
-from .spaces import OperatorSpec, QuasiNormedSpace, Quadratic, WeightedLp
+from .spaces import OperatorSpec, QuasiNormedSpace, Quadratic
 from .randsigns import ConstantEstimate, _guarded_ratio, _row_gauges, _search_tuples, _sign_averages
 
 
-_RATIO_DIRECTIONS = 1000  # sampled directions of the equivalence constants
 _OPERATOR_DIRECTIONS = 24  # unit vectors of the interpolated operator check
 _OPERATOR_TOLERANCE = 0.02  # relative slack of the interpolated operator check
 _SUM_RULE_TOLERANCE = 0.02  # relative gap allowed by the quadratic sum rule
@@ -117,50 +117,22 @@ class NormPair:
         back = vecs.T @ a0
         return np.maximum(mu, 0.0), back
 
-    def equivalence_constants(self) -> tuple[float, float]:
-        """(c, C) with c <= g1(x)/g0(x) <= C.
-
-        Two weighted Lp spaces get the true extremes in closed form.  With
-        g_p(x) = ||x / s0||_p, g_q(x) = ||x / s1||_q and a = s0 / s1 (the
-        ratio of axis scales), ``sup g1/g0 = sup ||a y||_q / ||y||_p``, which
-        is max a_i when q >= p and ||a||_rho with 1/rho = 1/q - 1/p (Holder)
-        when q < p; the infimum is the reciprocal of the same formula with
-        the roles swapped.  Other pairs get the extremes witnessed on
-        ``_RATIO_DIRECTIONS`` (1000) sampled directions, axis directions and
-        the all-ones vector always included, so exact whenever the ratio
-        extremes sit on axes (every diagonal pair).
-        """
-        sp0, sp1 = self.space0, self.space1
-        if isinstance(sp0, WeightedLp) and isinstance(sp1, WeightedLp):
-            a = np.asarray(sp0.scales) / np.asarray(sp1.scales)
-            return 1.0 / _lp_ratio_sup(1.0 / a, sp1.p, sp0.p), _lp_ratio_sup(a, sp0.p, sp1.p)
-        d = self.dim
-        det = np.vstack([np.eye(d), np.ones((1, d))])
-        extra = RandomSource(0, (97,)).generator().standard_normal(
-            (max(_RATIO_DIRECTIONS - det.shape[0], 0), d)
-        )
-        pts = np.vstack([det, extra]) if extra.size else det
-        g0 = self.space0.gauge_many(pts)
-        g1 = self.space1.gauge_many(pts)
-        if np.any(g0 <= 0) or np.any(g1 <= 0):
-            raise ValueError("gauges must be positive on nonzero directions")
-        ratio = g1 / g0
-        return float(ratio.min()), float(ratio.max())
-
-
-def _lp_ratio_sup(a: np.ndarray, p: float, q: float) -> float:
-    """``sup over y != 0 of ||a y||_q / ||y||_p`` for positive a."""
-    top = float(a.max())
-    if q >= p:
-        return top
-    rho = 1.0 / (1.0 / q - 1.0 / p)
-    return top * float(np.sum((a / top) ** rho) ** (1.0 / rho))  # overflow-safe
+    def equivalence_constants(self) -> tuple[float, float] | None:
+        """The true (c, C) with c <= g1(x)/g0(x) <= C: C is the norm of the
+        identity from space0 to space1 and 1/c the norm back, when an exact
+        route of ``_exact_op_norm`` gives both; otherwise None."""
+        eye = np.eye(self.dim)
+        back = _exact_op_norm(OperatorSpec(eye, self.space1, self.space0))
+        cap = _exact_op_norm(OperatorSpec(eye, self.space0, self.space1))
+        if back is None or cap is None:
+            return None
+        return 1.0 / back, cap
 
 
 @dataclass(frozen=True)
 class KValue:
     value: float  # best split found (an upper estimate unless exact)
-    lower: float  # analytic lower bound on the true infimum
+    lower: float  # true lower bound: from exact equivalence constants, else 0
     exact: bool
 
 
@@ -415,7 +387,8 @@ def k_functional(
     s = 1 and s = 2, weighted l1 against weighted lr pairs at s <= 1 or
     s = 2); ``budget`` then plays no part.  Otherwise a budgeted split
     search returns an upper estimate together with the analytic lower
-    bound from the pair's equivalence constants.
+    bound from the pair's equivalence constants, or 0 when the pair has
+    none.
     """
     if not (t > 0):
         raise ValueError("t must be positive")
@@ -432,7 +405,10 @@ def k_functional(
         val = float(exact[0])
         return KValue(val, val, True)
     val = float(_search_k(pair, ts, v, s, budget)[0])
-    c, cap = pair.equivalence_constants()
+    constants = pair.equivalence_constants()
+    if constants is None:
+        return KValue(val, 0.0, False)
+    c, cap = constants
     r = pair.r_exponent
     scale = 2.0 ** (1.0 / s - 1.0 / r)
     lower = scale * max(

@@ -17,10 +17,10 @@ evaluates its gauge in one batched kernel over rows; the scalar gauge is
 that kernel on one row, and the envelope gauge is the gauge of the
 envelope space, built once per space.  The facts that exact routes
 elsewhere rest on are methods of the kind, ``None`` where a kind lacks
-them: the quadratic form, per-coordinate scales, the ball's finite
-generators with their hull exponent, the dual space and the dual ball's
-atoms, the closed-form enclosing and inscribed ellipsoids, and the exact
-volume with its route.
+them: the quadratic form, per-coordinate scales, the weighted Lp form
+(exponent and axis scales), the ball's finite generators with their hull
+exponent, the dual space and the dual ball's atoms, the closed-form
+enclosing and inscribed ellipsoids, and the exact volume with its route.
 Gauges satisfy the r-triangle inequality
 ``gauge(x + y)**r <= gauge(x)**r + gauge(y)**r`` for the space's
 ``r_exponent``.  Spaces are immutable values: array fields are copied and
@@ -162,6 +162,10 @@ class QuasiNormedSpace:
         """Finite F with gauge(y) = max over f in F of <f, y>, or None."""
         return None
 
+    def lp_form(self) -> tuple[float, np.ndarray] | None:
+        """(p, s) with gauge(x) = ||x / s||_p, s the axis scales, or None."""
+        return None
+
     def enclosing_form(self) -> np.ndarray | None:
         """Shape of the minimum-volume enclosing ellipsoid, in closed form."""
         return self.quadratic_form
@@ -249,6 +253,9 @@ class WeightedLp(QuasiNormedSpace):
         if not math.isinf(self.p) and self.p == s:
             return np.asarray(self.weights) ** (1.0 / s)
         return super().coordinate_scales(s)
+
+    def lp_form(self) -> tuple[float, np.ndarray]:
+        return self.p, np.asarray(self.scales)
 
     @property
     def is_unweighted(self) -> bool:

@@ -46,10 +46,11 @@ class TestOpNorm:
         assert res.kind == "exact"
 
     def test_search_route_reaches_diagonal_witness(self):
-        # largest ratio of the concave gauge to the round one sits at the
-        # normalized diagonal, with value 2^(3/2)
+        # a rotation of the round ball keeps the identity's norm into l_{1/2}^2,
+        # 2^(3/2), reached at the rotated diagonal; no route covers it
+        c, s = math.cos(0.3), math.sin(0.3)
         res = op_norm(
-            OperatorSpec(np.eye(2), EUCLID2, WeightedLp.unweighted(0.5, 2)),
+            OperatorSpec(np.array([[c, -s], [s, c]]), EUCLID2, WeightedLp.unweighted(0.5, 2)),
             rng=RandomSource(7),
         )
         assert res.kind == "lower-bound"
@@ -157,6 +158,51 @@ class TestDualAtomRoute:
         assert res.kind == "exact"
         dual_formula = source.dual_space().gauge_many(target.dual_atoms() @ m).max()
         assert res.value == pytest.approx(dual_formula, rel=1e-9)
+
+
+EXPONENTS = [0.5, 2 / 3, 1.0, 1.5, 2.0, 3.0, math.inf]
+
+
+class TestHolderRoute:
+    """A diagonal map between weighted Lp spaces has Hölder's closed form."""
+
+    def test_identity_into_concave_ball_is_exact(self):
+        # the largest ratio of the l_{1/2} gauge to the round one sits at the
+        # normalized diagonal, with value 2^(3/2)
+        res = op_norm(OperatorSpec(np.eye(2), EUCLID2, WeightedLp.unweighted(0.5, 2)))
+        assert res.kind == "exact"
+        assert res.value == pytest.approx(2.0 ** 1.5, rel=1e-12)
+
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from(EXPONENTS),
+        st.sampled_from(EXPONENTS),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_no_ratio_exceeds_it_and_the_witness_reaches_it(self, d, p, q, seed):
+        gen = RandomSource(47, (seed,)).generator()
+        source = WeightedLp(p, gen.uniform(0.2, 5.0, d))
+        target = WeightedLp(q, gen.uniform(0.2, 5.0, d))
+        diag = gen.uniform(-3.0, 3.0, d) * (gen.random(d) < 0.8)  # some entries 0
+        if not np.any(diag):
+            diag[0] = 1.0
+        m = np.diag(diag)
+        res = op_norm(OperatorSpec(m, source, target))
+        assert res.kind == "exact"
+        pts = np.vstack([np.eye(d), np.ones((1, d)), gen.standard_normal((256, d))])
+        ratios = target.gauge_many(pts @ m.T) / source.gauge_many(pts)
+        assert ratios.max() <= res.value * (1 + 1e-12)
+        # Hölder's equality case, in y = x / s: an axis of the largest a_i
+        # when q >= p, else y = a^(rho/p) with 1/rho = 1/q - 1/p
+        a = np.abs(diag) * source.scales / target.scales
+        if q >= p:
+            y = np.eye(d)[np.argmax(a)]
+        else:
+            rho = 1.0 / (1.0 / q - 1.0 / p)
+            y = a ** (rho / p)
+        x = y * source.scales
+        assert target.gauge(m @ x) / source.gauge(x) == pytest.approx(res.value, rel=1e-9)
 
 
 class TestQuadraticFactorization:

@@ -14,7 +14,6 @@ from qnlab.geometry import (
     inscribed_ellipsoid,
     mvee,
     mvee_of_ball,
-    rhull_volume_defect,
     santalo_check,
     section_projection_volume_check,
     unit_ball_volume,
@@ -279,27 +278,17 @@ class TestVolumeRatios:
             poly = Polytope(np.vstack([verts, -verts]))
             assert vr_star(poly).value >= 1 - 1e-9
 
-    def test_hull_defect_of_square(self):
-        est = rhull_volume_defect(SQUARE, 0.5, rng=RandomSource(15), samples=150_000)
-        # hull with exponent 1/2 of the corners has volume 4/3 (exact)
-        assert abs(est.value - math.sqrt(3.0)) <= 5 * est.stderr + 1e-6
-        near = rhull_volume_defect(SQUARE, 1.0, rng=RandomSource(15), samples=50_000)
-        assert near.value == pytest.approx(1.0, abs=5 * near.stderr + 1e-6)
+    def test_half_hull_of_square_corners(self):
+        # the 1/2-hull of the corners of [-1, 1]^2 has area 4/3 (exact)
+        est = volume(RConvexAtoms(np.asarray(SQUARE.extreme_vertices), 0.5), rng=RandomSource(15), samples=150_000)
+        assert abs(est.value - 4.0 / 3.0) <= 5 * est.stderr + 1e-6
 
-    def test_hull_defect_up_to_dim_five(self):
-        for d in (4, 5):
-            assert rhull_volume_defect(Polytope(np.vstack([np.eye(d), -np.eye(d)])), 1.0).value == 1.0
-        with pytest.raises(ValueError, match="exact polytope volume"):
-            rhull_volume_defect(Polytope(np.vstack([np.eye(6), -np.eye(6)])), 1.0)
-
-    def test_hull_defect_of_four_dim_cross_polytope(self):
-        # the 1/2-hull of the axes is the l_{1/2}^4 ball, of volume
-        # 4^4 / 8!; the cross-polytope has volume 2^4 / 4!
-        cross4 = Polytope(np.vstack([np.eye(4), -np.eye(4)]))
-        est = rhull_volume_defect(cross4, 0.5, rng=RandomSource(16), samples=20_000)
-        expected = ((2.0 / 3.0) / (256.0 / 40320.0)) ** 0.25
+    def test_half_hull_of_four_dim_cross_polytope(self):
+        # the 1/2-hull of the axes is the l_{1/2}^4 ball, of volume 4^4 / 8!
+        est = volume(RConvexAtoms(np.eye(4), 0.5), rng=RandomSource(16), samples=20_000)
+        expected = 256.0 / 40320.0
         assert abs(est.value - expected) <= 5 * est.stderr
-        assert est.stderr <= 0.02  # hit-or-miss sampling gave 0.177
+        assert est.stderr <= 0.025 * expected
 
 
 class TestPolarVolumeComparison:

@@ -97,6 +97,24 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(experiment="volume", seed="5", dim="3")
         assert cfg.seed == 5 and cfg.dim == 3
 
+    @pytest.mark.parametrize("value", [2.7, 1.5, True, False, math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["seed", "dim", "samples", "trials", "budget"])
+    def test_non_integers_rejected(self, name, value):
+        # int() would truncate these silently (2.7 to 2, True to 1)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ExperimentConfig.from_dict({"experiment": "suite:horn", name: value})
+
+    @pytest.mark.parametrize("name", ["tolerance", "theta", "p"])
+    def test_booleans_rejected_as_numbers(self, name):
+        # float(True) is 1.0: a tolerance of true would pass every verdict
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            ExperimentConfig.from_dict({"experiment": "volume", name: True})
+
+    def test_integral_floats_accepted(self):
+        cfg = ExperimentConfig(experiment="suite:horn", seed=3.0, trials=2.0)
+        assert (cfg.seed, cfg.trials) == (3, 2)
+        assert type(cfg.seed) is int and type(cfg.trials) is int
+
     @pytest.mark.parametrize("value", [0, -1])
     @pytest.mark.parametrize("name", ["dim", "samples", "trials", "budget"])
     def test_non_positive_counts_rejected(self, name, value):
@@ -339,6 +357,12 @@ class TestCli:
         data = json.loads(out.read_text())
         assert data["config"]["seed"] == 9
         capsys.readouterr()
+
+    def test_fractional_count_in_config_file_is_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "suite:horn", "trials": 2.7, "seed": 1.9}))
+        assert cli.main(["run", "suite:horn", "--config", str(cfg_path)]) == 2
+        assert "must be an integer" in capsys.readouterr().err
 
     def test_characters_flag_round_trips(self, tmp_path, capsys):
         out = tmp_path / "sidon.json"

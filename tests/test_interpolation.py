@@ -24,7 +24,7 @@ from qnlab.interpolation import (
     theta_norm,
     theta_norm_constant,
 )
-from qnlab.spaces import Quadratic, WeightedLp
+from qnlab.spaces import Quadratic, Schatten, WeightedLp
 
 scales = st.floats(min_value=0.2, max_value=5.0, allow_nan=False)
 
@@ -125,6 +125,15 @@ class TestSplitFunctional:
         assert c * (1 - 1e-12) <= sampled.min() and sampled.max() <= cap * (1 + 1e-12)
         missed = cap / sampled.max() if q < p else sampled.min() / c
         assert missed > 1.0 + 1e-6
+
+    def test_pair_without_routes_has_no_constants(self):
+        # no exact operator-norm route joins two Schatten balls, so the
+        # searched value comes with the trivial lower bound
+        pair = NormPair(Schatten(1.0, 2, 2), Schatten(0.5, 2, 2))
+        assert pair.equivalence_constants() is None
+        kv = k_functional(pair, 1.0, 0.5, [1.0, 0.5, -0.25, 2.0], budget=20)
+        assert not kv.exact
+        assert kv.lower == 0.0 and kv.value > 0
 
     def test_monotone_in_t(self):
         pair = NormPair.diagonal([1.0, 2.0, 3.0], [2.5, 0.7, 1.1])
