@@ -18,6 +18,7 @@ from .spaces import (
     coordinate_section,
     horn_check,
     horn_check_many,
+    parse_space,
     quotient,
 )
 from .geometry import (
@@ -92,10 +93,8 @@ from .sidon import (
 from .harness import (
     ExperimentConfig,
     ExperimentReport,
-    format_space,
     list_experiments,
     parse_group,
-    parse_space,
     run,
     write_report,
 )

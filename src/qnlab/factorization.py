@@ -82,7 +82,7 @@ def _exact_op_norm(u: OperatorSpec) -> float | None:
     if atoms is not None and atoms[1] <= u.target.r_exponent + 1e-15:
         return float(u.target.gauge_many(atoms[0] @ m.T).max())
     dual = u.target.dual_atoms()
-    source_dual = None if dual is None else u.source.dual_space()
+    source_dual = None if dual is None else u.source._dual
     if source_dual is not None:
         return float(source_dual.gauge_many(dual @ m).max())
     qs, qt = u.source.quadratic_form, u.target.quadratic_form
@@ -207,7 +207,7 @@ def gamma2_upper(
         try:
             q = mvee_of_ball(u.source).shape
             candidates.append((spd_power(q, 0.5), spd_power(q, -0.5)))
-        except (ValueError, NotImplementedError, RuntimeError):
+        except (ValueError, RuntimeError):
             pass
 
     best = None

@@ -183,7 +183,7 @@ def inscribed_ellipsoid(space: QuasiNormedSpace) -> InscribedResult:
     form = space.inscribed_form()
     if form is not None:
         return InscribedResult(Ellipsoid(form[0]), form[1])
-    dual = space.dual_atoms() if space.r_exponent == 1.0 else None
+    dual = space.dual_atoms()
     if dual is None:
         raise NotImplementedError(f"no inscribed ellipsoid path for {type(space).__name__}")
     return InscribedResult(mvee(dual).polar(), True)

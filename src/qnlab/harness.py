@@ -23,7 +23,8 @@ Each experiment declares the parameters it reads, with their defaults
 set parameter that the experiment does not declare:
 
 ``spaces``
-    list of space strings (grammar below);
+    list of space strings, in the grammar of :mod:`qnlab.spaces` (a
+    kind's ``str`` is its string form);
 ``dim, samples, trials, budget``
     positive integers; these and ``seed`` reject booleans and fractional
     numbers instead of truncating them;
@@ -33,15 +34,6 @@ set parameter that the experiment does not declare:
     group string, either comma factors ``"2,2,2"`` or ``"z2^3"``;
 ``characters``
     ``"coordinate"`` or ``"all"``.
-
-Space grammar: a kind followed by ``key=value`` tokens.
-
-* ``euclidean dim=3``
-* ``lp p=0.5 dim=3`` (optional ``weights=1,2,3``; ``p=inf`` allowed)
-* ``schatten p=1 rows=2 cols=2``
-* ``quadratic matrix=2,0.5;0.5,1`` (symmetric positive-definite)
-* ``polytope vertices=1,0;0,1;-1,0;0,-1``
-* ``atoms r=0.5 rows=1,0;0,1``
 
 Reports carry a schema version, the echoed config (the effective value of
 every declared parameter), an observational flag
@@ -63,117 +55,13 @@ import numpy as np
 
 from . import factorization, geometry, interpolation, randsigns, sidon, spaces
 from .numkernel import DegenerateMatrixError, RandomSource
-from .spaces import (
-    OperatorSpec,
-    Polytope,
-    Quadratic,
-    QuasiNormedSpace,
-    RConvexAtoms,
-    Schatten,
-    WeightedLp,
-)
+from .spaces import OperatorSpec, Polytope, WeightedLp, _fmt_float, parse_space
 
 SCHEMA_VERSION = "1"
 
 
 # --------------------------------------------------------------------------
-# space / group grammar
-
-
-def _fmt_float(x: float) -> str:
-    if math.isinf(x):
-        return "inf"
-    return repr(float(x))
-
-
-def _parse_float(text: str) -> float:
-    if text.strip().lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
-def _parse_matrix(text: str) -> np.ndarray:
-    rows = [
-        [_parse_float(v) for v in row.split(",") if v.strip() != ""]
-        for row in text.split(";")
-        if row.strip() != ""
-    ]
-    return np.array(rows, dtype=float)
-
-
-def _fmt_matrix(mat: np.ndarray) -> str:
-    return ";".join(",".join(_fmt_float(v) for v in row) for row in np.asarray(mat))
-
-
-def parse_space(text: str) -> QuasiNormedSpace:
-    """Build a space from its string form (see the module docstring)."""
-    tokens = text.split()
-    if not tokens:
-        raise ValueError("empty space string")
-    kind, pairs = tokens[0].lower(), tokens[1:]
-    kv: dict[str, str] = {}
-    for tok in pairs:
-        if "=" not in tok:
-            raise ValueError(f"expected key=value, got {tok!r}")
-        key, _, value = tok.partition("=")
-        kv[key.lower()] = value
-
-    def need(key: str) -> str:
-        if key not in kv:
-            raise ValueError(f"space kind {kind!r} needs {key}=...")
-        return kv[key]
-
-    allowed = {
-        "euclidean": {"dim"},
-        "lp": {"p", "dim", "weights"},
-        "schatten": {"p", "rows", "cols"},
-        "quadratic": {"matrix"},
-        "polytope": {"vertices"},
-        "atoms": {"r", "rows"},
-    }
-    if kind in allowed and not set(kv) <= allowed[kind]:
-        unknown = sorted(set(kv) - allowed[kind])
-        raise ValueError(f"unknown keys for space kind {kind!r}: {unknown}")
-
-    if kind == "euclidean":
-        return WeightedLp.euclidean(int(need("dim")))
-    if kind == "lp":
-        p = _parse_float(need("p"))
-        if "weights" in kv:
-            w = _parse_matrix(kv["weights"]).ravel()
-            if "dim" in kv and int(kv["dim"]) != w.size:
-                raise ValueError("dim does not match the weights length")
-            return WeightedLp(p, w)
-        return WeightedLp.unweighted(p, int(need("dim")))
-    if kind == "schatten":
-        return Schatten(_parse_float(need("p")), int(need("rows")), int(need("cols")))
-    if kind == "quadratic":
-        return Quadratic(_parse_matrix(need("matrix")))
-    if kind == "polytope":
-        return Polytope(_parse_matrix(need("vertices")))
-    if kind == "atoms":
-        return RConvexAtoms(_parse_matrix(need("rows")), _parse_float(need("r")))
-    raise ValueError(f"unknown space kind {kind!r}")
-
-
-def format_space(space: QuasiNormedSpace) -> str:
-    """Canonical string form; ``parse_space(format_space(s))`` equals s."""
-    if isinstance(space, WeightedLp):
-        w = np.asarray(space.weights)
-        if np.all(w == 1.0):
-            if space.p == 2.0:
-                return f"euclidean dim={space.dim}"
-            return f"lp p={_fmt_float(space.p)} dim={space.dim}"
-        return f"lp p={_fmt_float(space.p)} weights={_fmt_matrix(w[None, :])}"
-    if isinstance(space, Schatten):
-        return f"schatten p={_fmt_float(space.p)} rows={space.rows} cols={space.cols}"
-    if isinstance(space, Quadratic):
-        return f"quadratic matrix={_fmt_matrix(space.matrix)}"
-    if isinstance(space, Polytope):
-        return f"polytope vertices={_fmt_matrix(space.vertices)}"
-    if isinstance(space, RConvexAtoms):
-        return f"atoms r={_fmt_float(space.r)} rows={_fmt_matrix(space.atoms)}"
-    raise ValueError(f"no string form for {type(space).__name__}")
+# group grammar
 
 
 def parse_group(text: str) -> sidon.FiniteAbelianGroup:
@@ -208,6 +96,8 @@ class ExperimentConfig:
     output: str | None = None
 
     def __post_init__(self):
+        if isinstance(self.spaces, str):  # tuple() would split it into characters
+            raise ValueError(f"spaces must be a list of space strings, got {self.spaces!r}")
         object.__setattr__(self, "spaces", tuple(str(s) for s in self.spaces))
         object.__setattr__(self, "seed", _integer("seed", self.seed))
         for name in ("dim", "samples", "trials", "budget"):
@@ -235,9 +125,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in data:
             raise ValueError("config needs an 'experiment' key")
-        kwargs = dict(data)
-        kwargs["spaces"] = tuple(kwargs.get("spaces", ()))
-        return cls(**kwargs)
+        return cls(**data)
 
 
 def _integer(name: str, value) -> int:
@@ -367,7 +255,7 @@ def _run_volume(config: ExperimentConfig):
     rng = _root(config)
     records, verdicts = [], []
     for i, sp in enumerate(map(parse_space, config.spaces)):
-        name = format_space(sp)
+        name = str(sp)
         mc = geometry.volume(sp, "monte-carlo", rng.split(0, i), config.samples)
         rec = {
             "space": name,
@@ -399,7 +287,7 @@ def _run_ellipsoid(config: ExperimentConfig):
     rng = _root(config)
     records, verdicts = [], []
     for i, sp in enumerate(map(parse_space, config.spaces)):
-        name = format_space(sp)
+        name = str(sp)
         gen = rng.split(1, i).generator()
         dirs = gen.standard_normal((1000, sp.dim))
         gauges = sp.gauge_many(dirs)
@@ -531,7 +419,7 @@ def _run_typecotype(config: ExperimentConfig):
     rng = _root(config)
     records, verdicts = [], []
     for i, sp in enumerate(map(parse_space, config.spaces)):
-        name = format_space(sp)
+        name = str(sp)
         ident = OperatorSpec.identity(sp)
         t2 = randsigns.type2_lower(ident, n, config.budget, rng.split(6, i))
         c2 = randsigns.cotype2_lower(ident, n, config.budget, rng.split(7, i))
@@ -582,7 +470,7 @@ def _run_gamma2(config: ExperimentConfig):
     rng = _root(config)
     records, verdicts = [], []
     for i, sp in enumerate(map(parse_space, config.spaces)):
-        name = format_space(sp)
+        name = str(sp)
         ident = OperatorSpec.identity(sp)
         g = factorization.gamma2_upper(ident, budget=config.budget, rng=rng.split(10, i))
         ed = factorization.euclidean_distance(sp, budget=config.budget, rng=rng.split(11, i))
@@ -1014,7 +902,7 @@ def _run_suite_weak_cotype2(config: ExperimentConfig):
                     evaluations += 1
             records.append(
                 {
-                    "space": format_space(sp),
+                    "space": str(sp),
                     "profile": profile,
                     "evaluations": evaluations,
                 }

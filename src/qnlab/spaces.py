@@ -10,17 +10,20 @@ representations:
 * :class:`RConvexAtoms` -- r-convex hulls of small atom sets, 0 < r <= 1.
 
 Every space knows its gauge (Minkowski functional of the unit ball) and
-the gauge of its convex envelope; weighted Lp spaces, quadratic balls and
-polytopes also give their dual space, whose gauge is the support function
-of the envelope ball, and the other kinds return None for it.  Each kind
+the gauge of its convex envelope.  Its dual X* is the space of bounded
+functionals, whose gauge is the support function of the envelope ball, so
+a non-convex kind's dual is its envelope's; weighted Lp spaces, quadratic
+balls and polytopes up to dim 5 state theirs, and Schatten balls have
+none.  Each kind
 evaluates its gauge in one batched kernel over rows; the scalar gauge is
 that kernel on one row, and the envelope gauge is the gauge of the
-envelope space, built once per space.  The facts that exact routes
-elsewhere rest on are methods of the kind, ``None`` where a kind lacks
-them: the quadratic form, per-coordinate scales, the weighted Lp form
-(exponent and axis scales), the ball's finite generators with their hull
-exponent, the dual space and the dual ball's atoms, the closed-form
-enclosing and inscribed ellipsoids, and the exact volume with its route.
+envelope space, built once per space, as is the dual space.  The facts
+that exact routes elsewhere rest on are methods of the kind, ``None``
+where a kind lacks them: the quadratic form, per-coordinate scales, the
+weighted Lp form (exponent and axis scales), the ball's finite generators
+with their hull exponent, the dual space, the closed-form enclosing and
+inscribed ellipsoids, and the exact volume with its route.  The dual
+ball's atoms derive from the dual space, once, in the base class.
 Gauges satisfy the r-triangle inequality
 ``gauge(x + y)**r <= gauge(x)**r + gauge(y)**r`` for the space's
 ``r_exponent``.  Spaces are immutable values: array fields are copied and
@@ -37,6 +40,16 @@ Exact facts used below and enforced by the test suite:
 * the convex envelope of a weighted Lp ball with p < 1 is the weighted
   crosspolytope spanned by the per-axis extreme points, so envelope and
   dual spaces of those spaces have closed forms.
+
+A kind's ``str`` is its canonical string form, a kind followed by
+``key=value`` tokens, and :func:`parse_space` reads it back:
+
+* ``euclidean dim=3``
+* ``lp p=0.5 dim=3`` (optional ``weights=1,2,3``; ``p=inf`` allowed)
+* ``schatten p=1 rows=2 cols=2``
+* ``quadratic matrix=2,0.5;0.5,1`` (symmetric positive-definite)
+* ``polytope vertices=1,0;0,1;-1,0;0,-1``
+* ``atoms r=0.5 rows=1,0;0,1``
 """
 
 from __future__ import annotations
@@ -69,10 +82,20 @@ _FEAS_TOL = 1e-9
 _HORN_SLACK = 1e-9  # absolute float slack of horn_check
 
 
+def _fmt_float(x: float) -> str:
+    return "inf" if math.isinf(x) else repr(float(x))
+
+
+def _fmt_matrix(mat: np.ndarray) -> str:
+    return ";".join(",".join(_fmt_float(v) for v in row) for row in np.asarray(mat))
+
+
 class QuasiNormedSpace:
     """Base interface.  A kind implements one gauge kernel, ``_gauge_rows``,
     on validated rows; the scalar, batched and envelope gauges derive from
-    it here.  ``gauge(x)`` equals ``gauge_many(x[None])[0]`` bit for bit;
+    it here, and so do the dual ball's atoms, from the dual space.  A kind's
+    ``str`` is its string form (see the module docstring).
+    ``gauge(x)`` equals ``gauge_many(x[None])[0]`` bit for bit;
     a row inside a larger batch can differ from it in the last bits, since
     matrix products sum in an order that depends on the batch size.  A
     search scores the batches of all its starts together, so a searched
@@ -110,20 +133,17 @@ class QuasiNormedSpace:
             return self
         raise NotImplementedError
 
-    def envelope_atoms(self) -> np.ndarray:
-        """Extreme points of the envelope ball (finite symmetric list).
-
-        Raises ``NotImplementedError`` for smooth balls, which have no
-        finite atomic description.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no finite atomic description"
-        )
+    @cached_property
+    def _dual(self) -> "QuasiNormedSpace | None":
+        return self.dual_space()
 
     def dual_space(self) -> "QuasiNormedSpace | None":
         """Space whose gauge is this space's dual gauge, the support
-        function of the envelope ball (exact), or None."""
-        return None
+        function of the envelope ball (exact), or None.  Here: the
+        envelope's dual, and None for a ball that is its own envelope,
+        which a convex kind with a dual overrides."""
+        env = self._envelope
+        return None if env is self else env._dual
 
     @property
     def quadratic_form(self) -> np.ndarray | None:
@@ -152,15 +172,18 @@ class QuasiNormedSpace:
 
     def ball_atoms(self) -> tuple[np.ndarray, float] | None:
         """Finite generators G with their hull exponent e: the unit ball is
-        the e-convex hull of G and -G."""
-        try:
-            return self.envelope_atoms(), self.r_exponent
-        except NotImplementedError:
-            return None
+        the e-convex hull of G and -G; None for a ball without them."""
+        return None
 
     def dual_atoms(self) -> np.ndarray | None:
-        """Finite F with gauge(y) = max over f in F of <f, y>, or None."""
-        return None
+        """Finite F with gauge(y) = max over f in F of <f, y>, or None.
+
+        A convex ball is the polar of its dual ball, so F is the dual ball's
+        generators when it is their convex hull; every kind that is a dual
+        lists its generators with their negatives."""
+        dual = self._dual if self.r_exponent == 1.0 else None
+        gens = None if dual is None else dual.ball_atoms()
+        return gens[0] if gens is not None and gens[1] == 1.0 else None
 
     def lp_form(self) -> tuple[float, np.ndarray] | None:
         """(p, s) with gauge(x) = ||x / s||_p, s the axis scales, or None."""
@@ -296,15 +319,10 @@ class WeightedLp(QuasiNormedSpace):
             return corners * s
         raise NotImplementedError("smooth Lp balls (1 < p < inf) are not atomic")
 
-    def dual_atoms(self) -> np.ndarray | None:
-        w = np.asarray(self.weights)
-        if math.isinf(self.p):
-            eye = np.diag(w)
-            return np.vstack([eye, -eye])
-        if self.p == 1.0 and self.dim <= MAX_ATOMS:
-            signs = np.array(list(itertools.product((-1.0, 1.0), repeat=self.dim)))
-            return signs * w
-        return None
+    def ball_atoms(self) -> tuple[np.ndarray, float] | None:
+        if 1.0 < self.p < math.inf or (math.isinf(self.p) and self.dim > MAX_ATOMS):
+            return None
+        return self.envelope_atoms(), self.r_exponent
 
     def enclosing_form(self) -> np.ndarray | None:
         # for 1 < p <= 2 the ellipsoid through the axis points encloses the
@@ -340,6 +358,12 @@ class WeightedLp(QuasiNormedSpace):
             return float(2.0**n * np.prod(s)), "closed-form"
         log_vol = n * (math.log(2.0) + gammaln(1.0 + 1.0 / p)) - gammaln(1.0 + n / p)
         return float(math.exp(log_vol) * np.prod(s)), "closed-form"
+
+    def __str__(self) -> str:
+        p = _fmt_float(self.p)
+        if np.all(self.weights == 1.0):
+            return f"euclidean dim={self.dim}" if self.p == 2.0 else f"lp p={p} dim={self.dim}"
+        return f"lp p={p} weights={_fmt_matrix(self.weights[None, :])}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,6 +401,9 @@ class Quadratic(QuasiNormedSpace):
             return np.sqrt(np.diag(a))
         return super().coordinate_scales(s)
 
+    def __str__(self) -> str:
+        return f"quadratic matrix={_fmt_matrix(self.matrix)}"
+
 
 @dataclass(frozen=True, eq=False)
 class Schatten(QuasiNormedSpace):
@@ -412,6 +439,9 @@ class Schatten(QuasiNormedSpace):
         if self.p >= 1.0:
             return self
         return Schatten(1.0, self.rows, self.cols)
+
+    def __str__(self) -> str:
+        return f"schatten p={_fmt_float(self.p)} rows={self.rows} cols={self.cols}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,18 +500,8 @@ class Polytope(QuasiNormedSpace):
             out[i] = float(res.fun) * scale
         return out
 
-    def envelope_atoms(self) -> np.ndarray:
-        return np.asarray(self.extreme_vertices)
-
     def ball_atoms(self) -> tuple[np.ndarray, float]:
         return np.asarray(self.vertices), 1.0
-
-    def dual_atoms(self) -> np.ndarray | None:
-        try:
-            normals = np.asarray(self.facet_normals)
-        except NotImplementedError:
-            return None
-        return np.vstack([normals, -normals])
 
     def exact_volume(self) -> tuple[float, str] | None:
         """Fan triangulation from the origin over the hull facets, dim <= 5."""
@@ -499,16 +519,6 @@ class Polytope(QuasiNormedSpace):
         return float(total), "triangulation"
 
     @cached_property
-    def extreme_vertices(self) -> np.ndarray:
-        """The subset of vertices that are extreme points of the hull."""
-        v = np.asarray(self.vertices)
-        if self.dim == 1:
-            t = float(np.abs(v).max())
-            return frozen_array([[t], [-t]])
-        hull = ConvexHull(v)
-        return frozen_array(dedup_rows(v[hull.vertices]))
-
-    @cached_property
     def facet_normals(self) -> np.ndarray:
         """Outer normals n_f with the ball equal to {x : <n_f, x> <= 1}."""
         v = np.asarray(self.vertices)
@@ -522,10 +532,16 @@ class Polytope(QuasiNormedSpace):
         normals = eqs[:, :-1] / (-eqs[:, -1:])
         return frozen_array(dedup_rows(normals))
 
-    def dual_space(self) -> "Polytope":
-        """Polytope whose gauge is this one's dual gauge (polar body)."""
+    def dual_space(self) -> "Polytope | None":
+        """Polytope whose gauge is this one's dual gauge (polar body), up
+        to dim 5, where the facets are enumerated; None above that."""
+        if self.dim > 5:
+            return None
         n = np.asarray(self.facet_normals)
         return Polytope(dedup_rows(np.vstack([n, -n])))
+
+    def __str__(self) -> str:
+        return f"polytope vertices={_fmt_matrix(self.vertices)}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -606,8 +622,8 @@ class RConvexAtoms(QuasiNormedSpace):
     def ball_atoms(self) -> tuple[np.ndarray, float]:
         return np.asarray(self.atoms), self.r
 
-    def dual_atoms(self) -> np.ndarray | None:
-        return self.envelope_space().dual_atoms() if self.r == 1.0 else None
+    def __str__(self) -> str:
+        return f"atoms r={_fmt_float(self.r)} rows={_fmt_matrix(self.atoms)}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -709,3 +725,70 @@ def coordinate_section(space: WeightedLp, indices) -> WeightedLp:
     if not idx or idx[0] < 0 or idx[-1] >= space.dim:
         raise ValueError("index set out of range or empty")
     return WeightedLp(space.p, np.asarray(space.weights)[idx])
+
+
+def _parse_float(text: str) -> float:
+    if text.strip().lower() in ("inf", "+inf", "infinity"):
+        return math.inf
+    return float(text)
+
+
+def _parse_matrix(text: str) -> np.ndarray:
+    rows = [
+        [_parse_float(v) for v in row.split(",") if v.strip() != ""]
+        for row in text.split(";")
+        if row.strip() != ""
+    ]
+    return np.array(rows, dtype=float)
+
+
+def parse_space(text: str) -> QuasiNormedSpace:
+    """Build a space from its string form (see the module docstring);
+    ``parse_space(str(sp))`` equals sp."""
+    tokens = text.split()
+    if not tokens:
+        raise ValueError("empty space string")
+    kind, pairs = tokens[0].lower(), tokens[1:]
+    kv: dict[str, str] = {}
+    for tok in pairs:
+        if "=" not in tok:
+            raise ValueError(f"expected key=value, got {tok!r}")
+        key, _, value = tok.partition("=")
+        kv[key.lower()] = value
+
+    def need(key: str) -> str:
+        if key not in kv:
+            raise ValueError(f"space kind {kind!r} needs {key}=...")
+        return kv[key]
+
+    allowed = {
+        "euclidean": {"dim"},
+        "lp": {"p", "dim", "weights"},
+        "schatten": {"p", "rows", "cols"},
+        "quadratic": {"matrix"},
+        "polytope": {"vertices"},
+        "atoms": {"r", "rows"},
+    }
+    if kind in allowed and not set(kv) <= allowed[kind]:
+        unknown = sorted(set(kv) - allowed[kind])
+        raise ValueError(f"unknown keys for space kind {kind!r}: {unknown}")
+
+    if kind == "euclidean":
+        return WeightedLp.euclidean(int(need("dim")))
+    if kind == "lp":
+        p = _parse_float(need("p"))
+        if "weights" in kv:
+            w = _parse_matrix(kv["weights"]).ravel()
+            if "dim" in kv and int(kv["dim"]) != w.size:
+                raise ValueError("dim does not match the weights length")
+            return WeightedLp(p, w)
+        return WeightedLp.unweighted(p, int(need("dim")))
+    if kind == "schatten":
+        return Schatten(_parse_float(need("p")), int(need("rows")), int(need("cols")))
+    if kind == "quadratic":
+        return Quadratic(_parse_matrix(need("matrix")))
+    if kind == "polytope":
+        return Polytope(_parse_matrix(need("vertices")))
+    if kind == "atoms":
+        return RConvexAtoms(_parse_matrix(need("rows")), _parse_float(need("r")))
+    raise ValueError(f"unknown space kind {kind!r}")

@@ -280,7 +280,7 @@ class TestVolumeRatios:
 
     def test_half_hull_of_square_corners(self):
         # the 1/2-hull of the corners of [-1, 1]^2 has area 4/3 (exact)
-        est = volume(RConvexAtoms(np.asarray(SQUARE.extreme_vertices), 0.5), rng=RandomSource(15), samples=150_000)
+        est = volume(RConvexAtoms(np.asarray(SQUARE.vertices), 0.5), rng=RandomSource(15), samples=150_000)
         assert abs(est.value - 4.0 / 3.0) <= 5 * est.stderr + 1e-6
 
     def test_half_hull_of_four_dim_cross_polytope(self):
@@ -308,6 +308,15 @@ class TestPolarVolumeComparison:
     def test_kind_without_dual_space_is_rejected(self):
         with pytest.raises(ValueError, match="Schatten"):
             santalo_check(Schatten(1.0, 2, 2))
+
+    def test_polytope_above_dim_five_is_rejected(self):
+        # facets are enumerated up to dim 5 only, so there is no dual ball
+        verts = RandomSource(18).generator().standard_normal((8, 6))
+        poly = Polytope(np.vstack([verts, -verts]))
+        assert poly.dual_space() is None
+        assert poly.dual_atoms() is None
+        with pytest.raises(ValueError, match="Polytope"):
+            santalo_check(poly)
 
 
 class TestSplitVolumeInequality:

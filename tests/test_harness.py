@@ -9,12 +9,11 @@ import pytest
 
 import qnlab.cli as cli
 from qnlab import harness, sidon
+from qnlab import parse_space
 from qnlab.harness import (
     ExperimentConfig,
-    format_space,
     list_experiments,
     parse_group,
-    parse_space,
     run,
     suite_names,
     write_report,
@@ -44,7 +43,7 @@ ROUND_TRIP_TEXTS = [
 class TestSpaceGrammar:
     @pytest.mark.parametrize("text", ROUND_TRIP_TEXTS)
     def test_text_round_trip(self, text):
-        assert format_space(parse_space(text)) == text
+        assert str(parse_space(text)) == text
 
     def test_parsed_types(self):
         assert isinstance(parse_space("euclidean dim=3"), WeightedLp)
@@ -61,7 +60,7 @@ class TestSpaceGrammar:
     def test_infinite_exponent_spelling(self):
         sp = parse_space("lp p=inf dim=2")
         assert math.isinf(sp.p)
-        assert format_space(sp) == "lp p=inf dim=2"
+        assert str(sp) == "lp p=inf dim=2"
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
@@ -92,6 +91,11 @@ class TestExperimentConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"experiment": "volume", "bogus": 1})
+
+    def test_string_spaces_rejected(self):
+        # tuple() of a string is its characters: 'e' is not a space kind
+        with pytest.raises(ValueError, match="spaces must be a list of space strings"):
+            ExperimentConfig.from_dict({"experiment": "gamma2", "spaces": "euclidean dim=2"})
 
     def test_type_coercion(self):
         cfg = ExperimentConfig(experiment="volume", seed="5", dim="3")
@@ -363,6 +367,12 @@ class TestCli:
         cfg_path.write_text(json.dumps({"experiment": "suite:horn", "trials": 2.7, "seed": 1.9}))
         assert cli.main(["run", "suite:horn", "--config", str(cfg_path)]) == 2
         assert "must be an integer" in capsys.readouterr().err
+
+    def test_string_spaces_in_config_file_is_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "gamma2", "spaces": "euclidean dim=2"}))
+        assert cli.main(["run", "gamma2", "--config", str(cfg_path)]) == 2
+        assert "spaces must be a list of space strings" in capsys.readouterr().err
 
     def test_characters_flag_round_trips(self, tmp_path, capsys):
         out = tmp_path / "sidon.json"

@@ -154,7 +154,14 @@ class TestDualGauges:
 
     def test_kinds_without_dual_space(self):
         assert Schatten(1.0, 2, 2).dual_space() is None
-        assert RConvexAtoms(np.eye(2), 0.5).dual_space() is None
+        assert Schatten(0.5, 2, 2).dual_space() is None
+
+    def test_concave_atom_hull_dual_is_envelope_dual(self):
+        # the 1/2-hull of the axes is the l_{1/2}^2 ball: both duals are l_inf^2
+        atoms = RConvexAtoms(np.eye(2), 0.5).dual_space()
+        lp = WeightedLp.unweighted(0.5, 2).dual_space()
+        for f in ([3.0, 1.0], [-0.5, 2.0], [1.0, -1.0], [0.0, 0.25]):
+            assert atoms.gauge(f) == pytest.approx(lp.gauge(f), rel=1e-12)
 
     def test_polytope_dual(self):
         assert SQUARE.dual_space().gauge([1.0, 0.0]) == pytest.approx(1.0)
@@ -168,6 +175,47 @@ class TestDualGauges:
             lhs = abs(float(f @ x))
             rhs = sp.dual_space().gauge(f) * sp.gauge(x)
             assert lhs <= rhs * (1 + 1e-9) + 1e-9
+
+
+class TestDualAtoms:
+    """``dual_atoms`` derives from the dual space; where it is not None, the
+    largest pairing with it is the kind's own gauge."""
+
+    @staticmethod
+    def _assert_gauge_is_max_pairing(sp, seed):
+        F = sp.dual_atoms()
+        assert F is not None
+        for y in RandomSource(seed).generator().standard_normal((40, sp.dim)):
+            assert float(np.max(F @ y)) == pytest.approx(sp.gauge(y), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    def test_weighted_lp(self, p, dim):
+        w = RandomSource(41, (dim,)).generator().uniform(0.2, 5.0, dim)
+        self._assert_gauge_is_max_pairing(WeightedLp(p, w), 42)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_polytope(self, dim):
+        verts = RandomSource(43, (dim,)).generator().standard_normal((dim + 3, dim))
+        self._assert_gauge_is_max_pairing(Polytope(np.vstack([verts, -verts])), 44)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_convex_atom_hull(self, dim):
+        atoms = RandomSource(45, (dim,)).generator().standard_normal((dim + 2, dim))
+        self._assert_gauge_is_max_pairing(RConvexAtoms(atoms, 1.0), 46)
+
+    def test_kinds_without_dual_atoms(self):
+        verts = RandomSource(47).generator().standard_normal((8, 6))
+        for sp in (
+            WeightedLp.unweighted(0.5, 3),
+            WeightedLp.unweighted(1.5, 3),
+            WeightedLp.euclidean(3),
+            Quadratic([[2.0, 1.0], [1.0, 2.0]]),
+            Schatten(1.0, 2, 2),
+            Polytope(np.vstack([verts, -verts])),
+            RConvexAtoms(np.eye(2), 0.5),
+        ):
+            assert sp.dual_atoms() is None, str(sp)
 
 
 class TestEnvelopes:
