@@ -41,11 +41,9 @@ from .interpolation import (
     KValue,
     NormPair,
     OperatorInterpolationResult,
-    SumRuleResult,
     ThetaNormResult,
     ThetaParams,
     diagonal_theta_norm,
-    ell2_sum_theta_check,
     equal_norms_type,
     interp_operator_bound_check,
     k_functional,

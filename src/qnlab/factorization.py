@@ -6,7 +6,8 @@ Operator norms take one route table, ``_exact_op_norm``: zero (a zero
 matrix), atoms (an atomic source against a target of at least its hull
 exponent), dual atoms (any source with a dual space against a target with
 finitely many dual atoms), quadratic (quadratic source and target) and
-Hölder (a diagonal map between weighted Lp spaces).  The same table gives
+Hölder (a diagonal map between kinds whose gauge is a weighted power sum
+``||a x||_p``, the kind's ``lp_form``).  The same table gives
 the equivalence constants of two spaces, as norms of the identity.
 Every norm carries one of three kinds: ``exact`` from a route,
 ``upper-bound`` from the row bound, ``lower-bound`` from a certified
@@ -72,8 +73,8 @@ def _exact_op_norm(u: OperatorSpec) -> float | None:
     * quadratic: a quadratic source and target give the largest singular
       value of the rescaled matrix;
     * Hölder: a square diagonal D between kinds with an ``lp_form``,
-      ||x / s||_p and ||y / t||_q, gives ``_lp_ratio_sup(|diag D| s / t,
-      p, q)``.
+      ||a x||_p and ||b y||_q, gives ``_lp_ratio_sup(|diag D| b / a, p,
+      q)``, in the coordinates z = a x of the source.
     """
     m = np.asarray(u.matrix)
     if not np.any(m):
@@ -91,7 +92,7 @@ def _exact_op_norm(u: OperatorSpec) -> float | None:
     ls, lt = u.source.lp_form(), u.target.lp_form()
     if ls is None or lt is None or m.shape[0] != m.shape[1] or np.any(m - np.diag(np.diag(m))):
         return None
-    return _lp_ratio_sup(np.abs(np.diag(m)) * ls[1] / lt[1], ls[0], lt[0])
+    return _lp_ratio_sup(np.abs(np.diag(m)) * lt[1] / ls[1], ls[0], lt[0])
 
 
 def _lp_ratio_sup(a: np.ndarray, p: float, q: float) -> float:

@@ -55,7 +55,7 @@ import numpy as np
 
 from . import factorization, geometry, interpolation, randsigns, sidon, spaces
 from .numkernel import DegenerateMatrixError, RandomSource
-from .spaces import OperatorSpec, Polytope, WeightedLp, _fmt_float, parse_space
+from .spaces import OperatorSpec, Polytope, WeightedLp, parse_space
 
 SCHEMA_VERSION = "1"
 
@@ -145,7 +145,7 @@ def _json_safe(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         f = float(obj)
-        return f if math.isfinite(f) else _fmt_float(f)
+        return f if math.isfinite(f) else repr(f)
     if isinstance(obj, np.ndarray):
         return [_json_safe(v) for v in obj.tolist()]
     if isinstance(obj, (list, tuple)):
@@ -367,11 +367,9 @@ def _run_interp(config: ExperimentConfig):
         k1 = interpolation.k_functional(pair, 1.0, t, x)
         trivial = min(pair.space0.gauge(x), t * pair.space1.gauge(x))
         sandwich_ok &= k2.value <= k1.value + 1e-9
-        sandwich_ok &= k1.lower <= math.sqrt(2.0) * k2.value + 1e-9
+        sandwich_ok &= k1.value <= math.sqrt(2.0) * k2.value + 1e-9
         sandwich_ok &= k1.value <= trivial + 1e-9
-        sandwich_ok &= k1.lower <= k1.value + 1e-12
-        records.append({"t": t, "k_s1": k1.value, "k_s1_lower": k1.lower,
-                        "k_s2": k2.value, "k_s2_exact": k2.exact})
+        records.append({"t": t, "k_s1": k1.value, "k_s2": k2.value})
     verdicts.append(
         _verdict("split-infimum bracket", sandwich_ok,
                  "exponent-1 bracket against the exact exponent-2 value")
@@ -395,21 +393,6 @@ def _run_interp(config: ExperimentConfig):
             check.passed,
             f"lhs {check.lhs:.6f} <= rhs {check.rhs:.6f}",
         )
-    )
-    d_small = min(dim, 4)
-    sum_check = interpolation.ell2_sum_theta_check(
-        w0[:d_small], w1[:d_small], gen.standard_normal(d_small), theta
-    )
-    records.append(
-        {
-            "sum_rule_computed": sum_check.computed,
-            "sum_rule_closed_form": sum_check.closed_form,
-            "sum_rule_rel_gap": sum_check.rel_gap,
-        }
-    )
-    verdicts.append(
-        _verdict("two-space sum rule", sum_check.passed,
-                 f"rel gap {sum_check.rel_gap:.2e}")
     )
     return records, verdicts
 
@@ -777,8 +760,8 @@ def _run_suite_theorem8(config: ExperimentConfig):
         ]
 
     def bound(u, rng):
-        res = factorization.delta(u, budget=config.budget, rng=rng)
-        lower = factorization.op_norm(u, config.budget, rng.split(1)).value
+        res = factorization.delta(u, rng=rng)
+        lower = factorization.op_norm(u, rng=rng.split(1)).value
         found = {"op_lower": lower, "delta": res.value, "delta_kind": res.kind}
         return lower, res.value, found
 
@@ -941,7 +924,7 @@ _REGISTRY: dict[str, tuple] = {
     "suite:theorem6": (_run_suite_theorem6, "factorization ratio sweep into sign-regular targets", True,
                        {"budget": 4, "trials": 3}),
     "suite:theorem8": (_run_suite_theorem8, "envelope-route factorization ratio sweep", True,
-                       {"budget": 2000, "trials": 3}),
+                       {"trials": 3}),
     "suite:theorem15": (_run_suite_theorem15, "outer volume ratios of random quotient balls", True,
                         {"trials": 2, "samples": None}),
     "suite:lemma1-exponent": (_run_suite_lemma1_exponent, "projection-constant growth against dimension-power models", True,

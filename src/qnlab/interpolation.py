@@ -11,9 +11,10 @@ One route selector serves ``k_functional`` (at one t) and ``theta_norm``
 
 * equal spaces and s equal to the space's triangle exponent r:
   ``K_r(t, x) = min(1, t) g(x)``;
-* both spaces with per-coordinate scales at exponent s (diagonal quadratic
-  pairs at s = 2, weighted Lp pairs with p0 = p1 = s, any pair in
-  dimension one): the infimum separates per coordinate;
+* both spaces with per-coordinate scales at exponent s, that is Lp forms
+  of exponent s (diagonal quadratic pairs at s = 2, weighted Lp pairs with
+  p0 = p1 = s) or any pair in dimension one: the infimum separates per
+  coordinate;
 * both spaces quadratic and s = 2: simultaneous diagonalization of
   (A0, A1) gives ``K_2(t, x)^2 = sum_i mu_i t^2 y_i^2 / (1 + mu_i t^2)``;
   it also gives the intermediate gauge in closed form
@@ -64,7 +65,6 @@ from .randsigns import ConstantEstimate, _guarded_ratio, _row_gauges, _search_tu
 
 _OPERATOR_DIRECTIONS = 24  # unit vectors of the interpolated operator check
 _OPERATOR_TOLERANCE = 0.02  # relative slack of the interpolated operator check
-_SUM_RULE_TOLERANCE = 0.02  # relative gap allowed by the quadratic sum rule
 
 
 @dataclass(frozen=True, eq=False)
@@ -561,30 +561,6 @@ def interp_operator_bound_check(
     kind = "exact" if end0.kind == end1.kind == "exact" else "lower-bound"
     passed = lhs <= rhs * (1.0 + _OPERATOR_TOLERANCE)
     return OperatorInterpolationResult(lhs, rhs, n0, n1, kind, passed)
-
-
-@dataclass(frozen=True)
-class SumRuleResult:
-    computed: float
-    closed_form: float
-    rel_gap: float
-    passed: bool
-
-
-def ell2_sum_theta_check(weights0, weights1, x, theta: float) -> SumRuleResult:
-    """The intermediate gauge of a quadratic-sum pair equals the quadratic
-    sum of the coordinate-wise intermediate gauges; compare the
-    ``ThetaParams(theta)`` quadrature value against that closed form,
-    within a relative gap of ``_SUM_RULE_TOLERANCE`` (2%)."""
-    w0 = as_vector(weights0)
-    w1 = as_vector(weights1, w0.shape[0])
-    if w0.shape[0] > 4:
-        raise ValueError("the sum rule check is sized for at most 4 coordinates")
-    pair = NormPair.diagonal(w0, w1)
-    computed = theta_norm(pair, ThetaParams(theta), x).value
-    closed = diagonal_theta_norm(w0, w1, x, theta)
-    gap = abs(computed - closed) / closed if closed > 0 else 0.0
-    return SumRuleResult(computed, closed, gap, gap <= _SUM_RULE_TOLERANCE)
 
 
 def equal_norms_type(

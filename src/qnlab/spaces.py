@@ -19,11 +19,12 @@ evaluates its gauge in one batched kernel over rows; the scalar gauge is
 that kernel on one row, and the envelope gauge is the gauge of the
 envelope space, built once per space, as is the dual space.  The facts
 that exact routes elsewhere rest on are methods of the kind, ``None``
-where a kind lacks them: the quadratic form, per-coordinate scales, the
-weighted Lp form (exponent and axis scales), the ball's finite generators
-with their hull exponent, the dual space, the closed-form enclosing and
-inscribed ellipsoids, and the exact volume with its route.  The dual
-ball's atoms derive from the dual space, once, in the base class.
+where a kind lacks them: the quadratic form, the Lp form ``(p, a)`` with
+``gauge(x) = ||a x||_p``, the ball's finite generators with their hull
+exponent, the dual space, the closed-form enclosing and inscribed
+ellipsoids, and the exact volume with its route.  The dual ball's atoms
+derive from the dual space, and the coordinate scales and
+unconditionality from the Lp form, once, in the base class.
 Gauges satisfy the r-triangle inequality
 ``gauge(x + y)**r <= gauge(x)**r + gauge(y)**r`` for the space's
 ``r_exponent``.  Spaces are immutable values: array fields are copied and
@@ -83,7 +84,7 @@ _HORN_SLACK = 1e-9  # absolute float slack of horn_check
 
 
 def _fmt_float(x: float) -> str:
-    return "inf" if math.isinf(x) else repr(float(x))
+    return repr(float(x))
 
 
 def _fmt_matrix(mat: np.ndarray) -> str:
@@ -93,7 +94,8 @@ def _fmt_matrix(mat: np.ndarray) -> str:
 class QuasiNormedSpace:
     """Base interface.  A kind implements one gauge kernel, ``_gauge_rows``,
     on validated rows; the scalar, batched and envelope gauges derive from
-    it here, and so do the dual ball's atoms, from the dual space.  A kind's
+    it here, the dual ball's atoms from the dual space, and the coordinate
+    scales and unconditionality from the one Lp form.  A kind's
     ``str`` is its string form (see the module docstring).
     ``gauge(x)`` equals ``gauge_many(x[None])[0]`` bit for bit;
     a row inside a larger batch can differ from it in the last bits, since
@@ -155,16 +157,22 @@ class QuasiNormedSpace:
         a = self.quadratic_form
         return a is not None and bool(np.array_equal(a, np.eye(self.dim)))
 
+    def lp_form(self) -> tuple[float, np.ndarray] | None:
+        """(p, a) with gauge(x) = ||a x||_p, a the coordinate weights, or
+        None: the one statement that the gauge is a weighted power sum."""
+        return None
+
     @property
     def is_unconditional(self) -> bool:
-        """Whether the gauge is nondecreasing in every |x_i|."""
-        return False
+        """Whether the gauge is nondecreasing in every |x_i|, as an Lp form is."""
+        return self.lp_form() is not None
 
     def coordinate_scales(self, s: float) -> np.ndarray | None:
-        """Scales a with gauge(x) = (sum_i (a_i |x_i|)^s)^(1/s), or None.
-
-        Every gauge in dimension one has them, at every exponent s.
-        """
+        """Scales a with gauge(x) = (sum_i (a_i |x_i|)^s)^(1/s), or None: the
+        Lp form's weights at its finite exponent, and at every s in dim 1."""
+        form = self.lp_form()
+        if form is not None and form[0] == s and not math.isinf(s):
+            return form[1]
         if self.dim == 1:
             e = np.ones(1)
             return self.gauge(e) * e
@@ -184,10 +192,6 @@ class QuasiNormedSpace:
         dual = self._dual if self.r_exponent == 1.0 else None
         gens = None if dual is None else dual.ball_atoms()
         return gens[0] if gens is not None and gens[1] == 1.0 else None
-
-    def lp_form(self) -> tuple[float, np.ndarray] | None:
-        """(p, s) with gauge(x) = ||x / s||_p, s the axis scales, or None."""
-        return None
 
     def enclosing_form(self) -> np.ndarray | None:
         """Shape of the minimum-volume enclosing ellipsoid, in closed form."""
@@ -268,21 +272,8 @@ class WeightedLp(QuasiNormedSpace):
     def quadratic_form(self) -> np.ndarray | None:
         return np.diag(np.asarray(self.weights)) if self.p == 2.0 else None
 
-    @property
-    def is_unconditional(self) -> bool:
-        return True
-
-    def coordinate_scales(self, s: float) -> np.ndarray | None:
-        if not math.isinf(self.p) and self.p == s:
-            return np.asarray(self.weights) ** (1.0 / s)
-        return super().coordinate_scales(s)
-
     def lp_form(self) -> tuple[float, np.ndarray]:
-        return self.p, np.asarray(self.scales)
-
-    @property
-    def is_unweighted(self) -> bool:
-        return bool(np.all(self.weights == self.weights[0]))
+        return self.p, (self.weights if math.isinf(self.p) else self.weights ** (1.0 / self.p))
 
     def _gauge_rows(self, pts: np.ndarray) -> np.ndarray:
         if math.isinf(self.p):
@@ -347,7 +338,7 @@ class WeightedLp(QuasiNormedSpace):
         if self.p >= 1.0:
             semi = s * d ** (0.5 - 1.0 / self.p)
             return np.diag(1.0 / semi**2), True
-        if not self.is_unweighted:
+        if np.any(self.weights != self.weights[0]):
             return None
         radius = float(s[0]) * d ** (0.5 - 1.0 / self.p)
         return np.eye(d) / radius**2, False
@@ -395,11 +386,9 @@ class Quadratic(QuasiNormedSpace):
         """The polar ellipsoid, of A^-1: its gauge is sqrt(f' A^-1 f)."""
         return Quadratic(spd_power(self.matrix, -1.0))
 
-    def coordinate_scales(self, s: float) -> np.ndarray | None:
+    def lp_form(self) -> tuple[float, np.ndarray] | None:
         a = self.matrix
-        if s == 2.0 and not np.any(a - np.diag(np.diag(a))):
-            return np.sqrt(np.diag(a))
-        return super().coordinate_scales(s)
+        return None if np.any(a - np.diag(np.diag(a))) else (2.0, np.sqrt(np.diag(a)))
 
     def __str__(self) -> str:
         return f"quadratic matrix={_fmt_matrix(self.matrix)}"

@@ -164,7 +164,7 @@ EXPONENTS = [0.5, 2 / 3, 1.0, 1.5, 2.0, 3.0, math.inf]
 
 
 class TestHolderRoute:
-    """A diagonal map between weighted Lp spaces has Hölder's closed form."""
+    """A diagonal map between kinds with an Lp form has Hölder's closed form."""
 
     def test_identity_into_concave_ball_is_exact(self):
         # the largest ratio of the l_{1/2} gauge to the round one sits at the
@@ -203,6 +203,20 @@ class TestHolderRoute:
             y = a ** (rho / p)
         x = y * source.scales
         assert target.gauge(m @ x) / source.gauge(x) == pytest.approx(res.value, rel=1e-9)
+
+    def test_diagonal_quadratic_target_has_an_lp_form(self):
+        # a diagonal ellipsoid is the weighted l2 ball of the same weights
+        m = np.diag([1.5, -0.7, 2.0])
+        source = WeightedLp(3.0, [1.0, 2.0, 0.5])
+        target = Quadratic(np.diag([0.5, 4.0, 1.5]))
+        res = op_norm(OperatorSpec(m, source, target))
+        assert res.kind == "exact"
+        assert res.value == pytest.approx(3.0881288275067553, rel=1e-12)
+        same = op_norm(OperatorSpec(m, source, WeightedLp(2.0, [0.5, 4.0, 1.5])))
+        assert res.value == pytest.approx(same.value, rel=1e-14)
+        pts = RandomSource(53).generator().standard_normal((200_000, 3))
+        ratios = target.gauge_many(pts @ m.T) / source.gauge_many(pts)
+        assert ratios.max() <= res.value * (1 + 1e-12)
 
 
 class TestQuadraticFactorization:

@@ -183,6 +183,8 @@ class TestRegistryAndRuns:
             run(ExperimentConfig(experiment="suite:lemma11", trials=3))
         with pytest.raises(ValueError, match="volume does not read dim"):
             run(ExperimentConfig(experiment="volume", dim=2))
+        with pytest.raises(ValueError, match="suite:theorem8 does not read budget"):
+            run(ExperimentConfig(experiment="suite:theorem8", budget=2))
         with pytest.raises(ValueError, match="sidon takes at most one space"):
             run(ExperimentConfig(experiment="sidon", spaces=("euclidean dim=2", "lp p=1 dim=3")))
 
@@ -238,7 +240,7 @@ class TestExperimentLoops:
         assert all("target_cotype2_certificate" in r for r in report.records)
 
     def test_theorem8_ratios(self):
-        report = run(ExperimentConfig(experiment="suite:theorem8", seed=18, trials=2, budget=2))
+        report = run(ExperimentConfig(experiment="suite:theorem8", seed=18, trials=2))
         assert report.records
         assert all(r["ratio"] >= 1 - 1e-9 for r in report.records)
 
@@ -301,6 +303,10 @@ class TestReports:
         write_report(report, str(cpath))
         assert json.loads(jpath.read_text())["experiment"] == "volume"
         assert cpath.read_text().startswith(report.to_csv().splitlines()[0])
+
+    def test_non_finite_values_keep_their_sign(self):
+        values = [-math.inf, math.inf, math.nan, np.float64(-math.inf)]
+        assert harness._json_safe(values) == ["-inf", "inf", "nan", "-inf"]
 
     def test_run_writes_output_path(self, tmp_path):
         out = tmp_path / "report.json"

@@ -16,7 +16,6 @@ from qnlab.interpolation import (
     NormPair,
     ThetaParams,
     diagonal_theta_norm,
-    ell2_sum_theta_check,
     equal_norms_type,
     interp_operator_bound_check,
     k_functional,
@@ -420,15 +419,6 @@ class TestIntermediateGauge:
 
 
 class TestDerivedChecks:
-    def test_quadratic_sum_rule(self):
-        res = ell2_sum_theta_check([1.0, 2.0], [0.5, 3.0], [1.0, -1.0], 0.5)
-        assert res.passed
-        assert res.rel_gap < 1e-6
-
-    def test_sum_rule_size_cap(self):
-        with pytest.raises(ValueError):
-            ell2_sum_theta_check(np.ones(5), np.ones(5), np.ones(5), 0.5)
-
     def test_operator_bound_on_seeded_diagonal_instances(self):
         gen = RandomSource(42).generator()
         for i in range(8):

@@ -341,6 +341,42 @@ class TestPolytopeAndAtoms:
             RConvexAtoms(np.zeros((2, 2)), 0.5)
 
 
+_W = np.array([0.5, 2.0, 3.0])
+
+# (space, its Lp form (p, a) with gauge(x) = ||a x||_p, or None)
+LP_FORM_CASES = [
+    *[(WeightedLp(p, _W), (p, _W if math.isinf(p) else _W ** (1.0 / p))) for p in (0.5, 1.0, 2.0, 3.0, math.inf)],
+    (Quadratic(np.diag([4.0, 9.0, 0.25])), (2.0, np.array([2.0, 3.0, 0.5]))),
+    (Quadratic([[2.0, 1.0], [1.0, 2.0]]), None),
+    (SQUARE, None),
+    (RConvexAtoms(np.eye(2), 0.5), None),
+    (Schatten(1.0, 2, 2), None),
+]
+
+
+def _check_lp_form(space, expected):
+    """The Lp form contract: coordinate scales and unconditionality derive
+    from the one form, and a kind without one has neither."""
+    exponents = (0.5, 1.0, 2.0, 3.0, math.inf)
+    form = space.lp_form()
+    if expected is None:
+        assert form is None
+        assert not space.is_unconditional
+        assert all(space.coordinate_scales(s) is None for s in exponents)
+        return
+    p, a = form
+    assert p == expected[0]
+    assert a == pytest.approx(expected[1], rel=1e-15, abs=0)
+    xs = RandomSource(61).generator().standard_normal((40, space.dim))
+    ax = np.abs(a * xs)
+    norms = ax.max(axis=1) if math.isinf(p) else (ax**p).sum(axis=1) ** (1.0 / p)
+    assert [space.gauge(x) for x in xs] == pytest.approx(norms, rel=1e-12, abs=0)
+    if not math.isinf(p):
+        assert np.array_equal(space.coordinate_scales(p), a)
+    assert all(space.coordinate_scales(s) is None for s in exponents if s != p or math.isinf(s))
+    assert space.is_unconditional
+
+
 class TestQuadratic:
     def test_gauge_dual_and_envelope(self):
         sp = Quadratic([[2.0, 1.0], [1.0, 2.0]])
@@ -353,9 +389,9 @@ class TestQuadratic:
     def test_kind_facts(self):
         sp = Quadratic([[2.0, 1.0], [1.0, 2.0]])
         assert sp.quadratic_form is sp.matrix
-        assert sp.coordinate_scales(2.0) is None
         assert sp.ball_atoms() is None
-        assert np.allclose(Quadratic(np.diag([4.0, 9.0])).coordinate_scales(2.0), [2.0, 3.0])
+        for space, form in LP_FORM_CASES:
+            _check_lp_form(space, form)
         assert np.array_equal(WeightedLp(2.0, [1.0, 3.0]).quadratic_form, np.diag([1.0, 3.0]))
         assert WeightedLp.unweighted(1.0, 2).quadratic_form is None
         assert Quadratic(np.eye(2)).is_euclidean
