@@ -4,15 +4,17 @@ benchmark workloads never run.
 
 Runs every registered experiment at its defaults (serializing each
 report), then rounds 0 and 1 of each workload in ``perfbench/workloads.py``
-at seed 1 (each op's call and its output check), under a line tracer
-limited to ``src/qnlab``.  Prints, module by module and grouped by
-enclosing function, the statement lines that never ran; ``raise``
-statements are left out, since an unreached error path is expected.  What
-is listed is reached only by the tests or the command line (``cli.py`` is
-not imported), or by nothing: candidates for deletion.
+at seed 1 (each op's call and its output check), then each line of the
+README's ``## Command line`` sh block through ``qnlab.cli.main``, in a
+temporary directory, under a line tracer limited to ``src/qnlab``.
+Prints, module by module and grouped by enclosing function, the statement
+lines that never ran; ``raise`` statements are left out, since an
+unreached error path is expected.  What is listed is reached only by the
+tests, or by nothing: candidates for deletion.
 
 Exits 0 unless an experiment, an op or a check raises; a check that
-reports a wrong output is printed to standard error.
+reports a wrong output, and a README line that exits nonzero, are printed
+to standard error.
 
 Usage: python scripts/unreached_lines.py
 """
@@ -20,7 +22,13 @@ Usage: python scripts/unreached_lines.py
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
+import os
+import re
+import shlex
 import sys
+import tempfile
 from collections import defaultdict
 from pathlib import Path
 
@@ -67,7 +75,17 @@ def _workload_ops():
             yield from workloads.build_round(name, WORKLOAD_SEED, r)
 
 
+def _readme_cli_lines() -> list[str]:
+    """The lines of the README's ``## Command line`` sh block.  The tests
+    workflow in ``.github/workflows/tests.yml`` extracts the same block
+    with awk; a change to the block's layout changes both."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```$", text, re.S | re.M)
+    return [line for line in block.group(1).splitlines() if line.strip()]
+
+
 def _run_everything():
+    from qnlab.cli import main as cli_main
     from qnlab.harness import ExperimentConfig, list_experiments, run
 
     for entry in list_experiments():
@@ -76,6 +94,17 @@ def _run_everything():
         message = op.check(op.call())
         if message:
             print(f"check of {op.kind} failed: {message}", file=sys.stderr)
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)  # the README lines write their reports here
+        try:
+            for line in _readme_cli_lines():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli_main(shlex.split(line, comments=True)[1:])
+                if code:
+                    print(f"README line exited {code}: {line}", file=sys.stderr)
+        finally:
+            os.chdir(here)
 
 
 def _ranges(lines: list[int]) -> str:

@@ -63,7 +63,6 @@ from .randsigns import (
 )
 from .factorization import (
     ApproxNumber,
-    DistanceBracket,
     FactorizationWitness,
     Gamma2Result,
     GaussianMean,

@@ -16,12 +16,12 @@ search.
 * ``op_norm`` is exact on a route and a searched lower bound otherwise;
   the factor and residual norms below (``_norm_bound``) take the same
   routes, then the row bound, then a short search;
-* ``gamma2_upper`` reports the bracket [search lower bound on the operator
-  norm, best factorization product found]; the product is a true upper
-  bound exactly when both factor norms were evaluated exactly or as
-  genuine upper bounds, recorded in ``certified``;
-* ``euclidean_distance`` combines that bracket for the identity with the
-  parallelogram-defect lower bound evaluated on vector pairs;
+* ``gamma2_upper`` reports the bracket [max(operator norm, parallelogram
+  bound), factorization product], the product from one split through a
+  quadratic end and from a search otherwise; it is a true upper bound
+  exactly when both factor norms were evaluated exactly or as genuine
+  upper bounds, recorded in ``certified``;
+* ``euclidean_distance`` is that bracket for the identity;
 * ``envelope_distance`` is a certified lower bound with witness: the gauge
   maximized over the convex-envelope unit sphere;
 * ``delta`` is the operator norm from the envelope source, which is the
@@ -179,43 +179,76 @@ def _factor_norms(
     return nw.value, nv.value, "lower-bound" not in (nw.kind, nv.kind)
 
 
+def _two_point_bound(u: OperatorSpec, rng: RandomSource) -> float:
+    """Lower bound on gamma2(u) from the parallelogram law of the middle
+    space of any u = v w: with c = ||v|| ||w||, every pair x, y has
+    g_Y(u(x+y))^2 + g_Y(u(x-y))^2 <= 2 c^2 (g_X(x)^2 + g_X(y)^2) and
+    2 (g_Y(ux)^2 + g_Y(uy)^2) <= c^2 (g_X(x+y)^2 + g_X(x-y)^2).  Maximized
+    over the axis pairs and 64 Gaussian pairs."""
+    d = u.source.dim
+    i, j = np.triu_indices(d, 1)
+    drawn = rng.generator().standard_normal((64, 2, d))
+    xs = np.concatenate([np.eye(d)[i], drawn[:, 0]])
+    ys = np.concatenate([np.eye(d)[j], drawn[:, 1]])
+    rows = np.concatenate([xs, ys, xs + ys, xs - ys])
+    gx = u.source.gauge_many(rows).reshape(4, -1) ** 2
+    gy = u.target.gauge_many(rows @ np.asarray(u.matrix).T).reshape(4, -1) ** 2
+    num = np.concatenate([gy[2] + gy[3], 2.0 * (gy[0] + gy[1])])
+    den = np.concatenate([2.0 * (gx[0] + gx[1]), gx[2] + gx[3]])
+    return math.sqrt(_guarded_ratio(num, den, den > 0).max())
+
+
 def gamma2_upper(
     u: OperatorSpec,
     budget: int = 8,
     rng: RandomSource = RandomSource(0),
 ) -> Gamma2Result:
-    """Bracket for the least factorization product through Euclidean space
-    of the operator's rank (dimension 1 for the zero map).
+    """Bracket for gamma2(u), the least product ||v|| ||w|| over u = v w
+    through a Euclidean space; the lower bound is the larger of the
+    operator norm and ``_two_point_bound``.
 
-    The upper bound searches over invertible reparameterizations of an
-    initial split (SVD-based; for identity operators also the enclosing
-    ellipsoid shape root, which John's theorem puts within sqrt(dim) of
-    optimal).  The lower bound is the operator norm, since any
-    factorization's product dominates it.
+    A quadratic end gives gamma2(u) = ||u||, reached by one split: through
+    the target's form A, w = A^(1/2) M and v = A^(-1/2), else through the
+    source's form B, w = B^(1/2) and v = M B^(-1/2).  Otherwise ``budget``
+    reparameterizations of an SVD split through the rank are searched (for
+    identities also the enclosing ellipsoid's shape root, within sqrt(dim)
+    of optimal by John's theorem).  The zero map factors through dim 1.
     """
     m = np.asarray(u.matrix)
     dy, dx = m.shape
     if not np.any(m):
         witness = FactorizationWitness(1, np.zeros((1, dx)), np.zeros((dy, 1)), 0.0, 0.0)
         return Gamma2Result(0.0, 0.0, witness, True)
-    s, u_left, vt = svd(m)
-    k = int(np.sum(s > s[0] * 1e-12))  # the rank
-    lower = op_norm(u, rng=rng.split(0)).value
+    norm = op_norm(u, rng=rng.split(0))
+    lower = max(norm.value, _two_point_bound(u, rng.split(4)))
 
-    roots = np.sqrt(s[:k])
-    candidates = [(roots[:, None] * vt[:k], u_left[:, :k] * roots[None, :])]
-    if dx == dy == k and np.allclose(m, np.eye(dx), atol=1e-12):
-        try:
-            q = mvee_of_ball(u.source).shape
-            candidates.append((spd_power(q, 0.5), spd_power(q, -0.5)))
-        except (ValueError, RuntimeError):
-            pass
-
-    best = None
-    for w, v in candidates:
-        nw, nv, ok = _factor_norms(w, v, u.source, u.target, rng.split(1))
-        if best is None or nw * nv < best[0]:
-            best = (nw * nv, w, v, nw, nv, ok)
+    # With a quadratic end, one factor is an isometry and the other has
+    # the norm of u, so the split's product is ||u||: no search.
+    qs, qt = u.source.quadratic_form, u.target.quadratic_form
+    exact = norm.kind == "exact"
+    if qt is not None:
+        best = (norm.value, spd_power(qt, 0.5) @ m, spd_power(qt, -0.5), norm.value, 1.0, exact)
+        budget = 0
+    elif qs is not None:
+        best = (norm.value, spd_power(qs, 0.5), m @ spd_power(qs, -0.5), 1.0, norm.value, exact)
+        budget = 0
+    else:
+        s, u_left, vt = svd(m)
+        k = int(np.sum(s > s[0] * 1e-12))  # the rank
+        roots = np.sqrt(s[:k])
+        candidates = [(roots[:, None] * vt[:k], u_left[:, :k] * roots[None, :])]
+        if dx == dy == k and np.allclose(m, np.eye(dx), atol=1e-12):
+            try:
+                q = mvee_of_ball(u.source).shape
+                candidates.append((spd_power(q, 0.5), spd_power(q, -0.5)))
+            except (ValueError, RuntimeError):
+                pass
+        best = None
+        for w, v in candidates:
+            nw, nv, ok = _factor_norms(w, v, u.source, u.target, rng.split(1))
+            if best is None or nw * nv < best[0]:
+                best = (nw * nv, w, v, nw, nv, ok)
+    k = best[1].shape[0]
     scale = 0.25
     for i in range(max(budget, 0)):
         _, wb, vb, _, _, _ = best
@@ -235,42 +268,18 @@ def gamma2_upper(
     if not np.allclose(recon, m, atol=1e-9 * max(1.0, np.abs(m).max())):
         raise RuntimeError("factorization drifted away from the operator")
     upper = product if ok else max(product, lower)
+    if upper < lower <= upper * (1.0 + 1e-12):  # a rounding excess, not a bug
+        lower = upper
     witness = FactorizationWitness(k, w, v, nw, nv)
     return Gamma2Result(lower, upper, witness, ok)
 
 
-@dataclass(frozen=True)
-class DistanceBracket:
-    lower: float
-    upper: float
-    certified: bool
-
-
 def euclidean_distance(
     space: QuasiNormedSpace, budget: int = 8, rng: RandomSource = RandomSource(0)
-) -> DistanceBracket:
+) -> Gamma2Result:
     """Bracket for the least two-sided Euclidean comparison constant of the
-    gauge (the identity's factorization constant).
-
-    Lower bound: any Euclidean comparison transports the parallelogram law,
-    so for every pair x, y the ratio
-    (g(x+y)^2 + g(x-y)^2) / (2 g(x)^2 + 2 g(y)^2) and its reciprocal are
-    at most the squared constant; maximized over deterministic axis pairs
-    and sampled pairs, floored at 1.
-    """
-    d = space.dim
-    g = gamma2_upper(OperatorSpec.identity(space), budget=budget, rng=rng.split(0))
-    pairs = [(np.eye(d)[i], np.eye(d)[j]) for i in range(d) for j in range(i + 1, d)]
-    gen = rng.split(1).generator()
-    for _ in range(64):
-        pairs.append((gen.standard_normal(d), gen.standard_normal(d)))
-    xs, ys = (np.array(side) for side in zip(*pairs))
-    num = space.gauge_many(xs + ys) ** 2 + space.gauge_many(xs - ys) ** 2
-    den = 2.0 * (space.gauge_many(xs) ** 2 + space.gauge_many(ys) ** 2)
-    ok = (num > 0) & (den > 0)
-    ratio = num[ok] / den[ok]
-    lower = float(np.sqrt(np.maximum(ratio, 1.0 / ratio)).max(initial=1.0))
-    return DistanceBracket(lower, max(g.upper, lower) if g.certified else g.upper, g.certified)
+    gauge: ``gamma2_upper`` of the identity, since id = v w has w injective."""
+    return gamma2_upper(OperatorSpec.identity(space), budget, rng)
 
 
 def envelope_distance(
@@ -291,7 +300,7 @@ def envelope_distance(
     return ConstantEstimate(best_v, "certified-lower-bound", best_x / env)
 
 
-def delta(u: OperatorSpec, budget: int = 2000, rng: RandomSource = RandomSource(0)) -> OpNormResult:
+def delta(u: OperatorSpec, rng: RandomSource = RandomSource(0)) -> OpNormResult:
     """The least factorization product delta(u) through a Banach space.
 
     By the universal property of the Banach envelope (Kalton, Peck and
@@ -303,7 +312,7 @@ def delta(u: OperatorSpec, budget: int = 2000, rng: RandomSource = RandomSource(
     certified lower bound on delta when it was searched (kind
     ``lower-bound``).
     """
-    return op_norm(OperatorSpec(u.matrix, u.source.envelope_space(), u.target), budget, rng)
+    return op_norm(OperatorSpec(u.matrix, u.source.envelope_space(), u.target), rng=rng)
 
 
 @dataclass(frozen=True)
@@ -343,22 +352,18 @@ class ApproxNumber:
     kind: str  # exact | upper-bound | search
 
 
-def approx_numbers(
-    u: OperatorSpec, k: int, budget: int = 24, rng: RandomSource = RandomSource(0)
-) -> ApproxNumber:
+def approx_numbers(u: OperatorSpec, k: int, rng: RandomSource = RandomSource(0)) -> ApproxNumber:
     """k-th approximation number: distance to operators of rank below k.
 
     Exact (a singular value of the rescaled matrix) for quadratic source
     and target.  Otherwise the smallest residual norm found from a
-    truncated-SVD initialization refined by perturbing the low-rank
-    factors: kind ``upper-bound`` when the kept residual's norm came from
+    truncated-SVD initialization refined by 24 rounds of perturbing the
+    low-rank factors: kind ``upper-bound`` when the kept residual's norm came from
     an exact route or the row bound, and ``search`` when it was a searched
     lower estimate of that norm.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
     qs = u.source.quadratic_form
     if qs is None:
         raise ValueError("approximation numbers need a quadratic source")
@@ -379,7 +384,7 @@ def approx_numbers(
     b = vt[:r]
     best = _norm_bound(m - a @ b, middle, u.target, rng.split(9))
     scale = 0.3 * s[0]
-    for i in range(budget if r else 0):  # a rank-0 fit has nothing to perturb
+    for i in range(24 if r else 0):  # a rank-0 fit has nothing to perturb
         gen = rng.split(11, i).generator()
         a2 = a + scale * gen.standard_normal(a.shape)
         b2 = b + scale * gen.standard_normal(b.shape)

@@ -263,15 +263,12 @@ def _run_volume(config: ExperimentConfig):
             "mc_stderr": mc.stderr,
             "samples": config.samples,
         }
-        try:
-            exact = geometry.volume(sp, "auto")
-        except ValueError:
-            exact = None
-        if exact is not None and exact.method != "monte-carlo":
-            rel = abs(mc.value - exact.value) / exact.value
-            allowed = max(config.tolerance, 4.0 * mc.stderr / exact.value)
-            rec.update({"exact_value": exact.value, "exact_method": exact.method,
-                        "rel_error": rel})
+        exact = sp.exact_volume()
+        if exact is not None:
+            value, method = exact
+            rel = abs(mc.value - value) / value
+            allowed = max(config.tolerance, 4.0 * mc.stderr / value)
+            rec.update({"exact_value": value, "exact_method": method, "rel_error": rel})
             verdicts.append(
                 _verdict(
                     f"volume agreement {name}",
@@ -456,7 +453,6 @@ def _run_gamma2(config: ExperimentConfig):
         name = str(sp)
         ident = OperatorSpec.identity(sp)
         g = factorization.gamma2_upper(ident, budget=config.budget, rng=rng.split(10, i))
-        ed = factorization.euclidean_distance(sp, budget=config.budget, rng=rng.split(11, i))
         env = factorization.envelope_distance(sp, budget=config.budget, rng=rng.split(12, i))
         delta = factorization.delta(ident, rng=rng.split(13, i))
         records.append(
@@ -465,8 +461,6 @@ def _run_gamma2(config: ExperimentConfig):
                 "gamma2_lower": g.lower,
                 "gamma2_upper": g.upper,
                 "gamma2_certified": g.certified,
-                "euclidean_lower": ed.lower,
-                "euclidean_upper": ed.upper,
                 "envelope_distance": env.value,
                 "delta": delta.value,
                 "delta_kind": delta.kind,
@@ -475,7 +469,7 @@ def _run_gamma2(config: ExperimentConfig):
         verdicts.append(
             _verdict(
                 f"factorization bracket {name}",
-                g.upper >= g.lower - 1e-9 and ed.lower <= ed.upper + 1e-9,
+                g.upper >= g.lower - 1e-9,
                 f"lower {g.lower:.6f} <= upper {g.upper:.6f}",
             )
         )
@@ -746,7 +740,7 @@ def _run_suite_theorem6(config: ExperimentConfig):
 
     def bound(u, rng):
         g = factorization.gamma2_upper(u, budget=config.budget, rng=rng)
-        found = {"op_lower": g.lower, "gamma2_upper": g.upper, "certified": g.certified}
+        found = {"gamma2_lower": g.lower, "gamma2_upper": g.upper, "certified": g.certified}
         return g.lower, g.upper, found
 
     return _ratio_sweep(config, 20, pairs_of, bound, target_certificate)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qnlab.cli as cli
-from qnlab import harness, sidon
+from qnlab import geometry, harness, sidon
 from qnlab import parse_space
 from qnlab.harness import (
     ExperimentConfig,
@@ -238,6 +238,24 @@ class TestExperimentLoops:
         assert report.records
         assert all(r["ratio"] >= 1 - 1e-9 for r in report.records)
         assert all("target_cotype2_certificate" in r for r in report.records)
+        # pairs 0 and 2 have Euclidean targets, where gamma2(u) = ||u||
+        round_targets = [r for r in report.records if r["pair"] in (0, 2)]
+        assert round_targets and all(r["certified"] for r in round_targets)
+        assert all(r["ratio"] == pytest.approx(1.0, abs=1e-12) for r in round_targets)
+
+    def test_volume_samples_each_space_once(self, monkeypatch):
+        calls = []
+        sample = geometry._mc_volume
+
+        def counted(space, rng, samples):
+            calls.append(samples)
+            return sample(space, rng, samples)
+
+        monkeypatch.setattr(geometry, "_mc_volume", counted)
+        spaces = ("lp p=0.5 dim=2", "atoms r=0.5 rows=1,0;0,1;1,1")
+        report = run(ExperimentConfig(experiment="volume", spaces=spaces, samples=20_000))
+        assert calls == [20_000, 20_000]
+        assert [("exact_value" in r) for r in report.records] == [True, False]
 
     def test_theorem8_ratios(self):
         report = run(ExperimentConfig(experiment="suite:theorem8", seed=18, trials=2))
