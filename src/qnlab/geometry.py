@@ -9,7 +9,11 @@ symmetric positive-definite.  This module computes
 * enclosing/inscribed ellipsoids of concrete unit balls;
 * volumes, exactly where a closed form or a fan triangulation applies and
   otherwise by averaging the radial function over Gaussian directions of
-  the enclosing ellipsoid (terms in [0, 1], see :func:`volume`);
+  the enclosing ellipsoid (terms in [0, 1], see :func:`volume`).  Each
+  Gaussian row is read through ``_MC_FRAMES`` = 4 random orthogonal frames
+  drawn once per estimate, so one row gives four directions; the standard
+  error is taken over rows, which are independent, and the
+  effective-sample guard over directions;
 * the outer volume ratio of a ball, the polar comparison of that ratio
   with the dual ball's inner ratio, and the section/projection
   inequality.
@@ -34,10 +38,12 @@ import numpy as np
 from .numkernel import (
     DegenerateMatrixError,
     RandomSource,
+    as_integer,
     as_matrix,
     as_spd,
     dedup_rows,
     frozen_array,
+    gram_schmidt,
     require_symmetric_rows,
     spd_power,
 )
@@ -50,7 +56,12 @@ from .spaces import (
 )
 
 _MC_MIN_SAMPLES = 10_000
-_MC_CHUNK = 16_384  # Gaussian rows per draw, cache-sized; draws from one generator concatenate
+_MC_FRAMES = 4  # random orthogonal frames that read each Gaussian row as that many directions
+# Gaussian rows per draw: one gauge_many call of _MC_FRAMES times as many
+# directions, cache-sized.  Draws from one generator concatenate, and the
+# row sums behind the stderr never straddle two draws, so the result does
+# not depend on the chunk
+_MC_CHUNK = 4_096
 _MC_MIN_ESS = 2_000  # fewest effective samples a monte-carlo volume may rest on
 _MVEE_TOLERANCE = 1e-7  # relative stopping slack of the enclosing-ellipsoid iteration
 _MVEE_MAX_ITER = 200_000
@@ -198,35 +209,54 @@ class VolumeEstimate:
 
 
 def _mc_volume(space: QuasiNormedSpace, rng: RandomSource, samples: int) -> VolumeEstimate:
+    samples = as_integer("samples", samples)
     if samples < _MC_MIN_SAMPLES:
         raise ValueError(f"monte-carlo volume needs at least {_MC_MIN_SAMPLES} samples")
     proposal = mvee_of_ball(space)
     d = proposal.dim
+    k = _MC_FRAMES
     root = spd_power(proposal.shape, -0.5)
     gen = rng.generator()
-    # sums of the terms shifted by the first chunk's mean keep the variance
-    # exact when the terms are (nearly) constant, as for a quadratic ball
-    shift = s1 = s2 = 0.0
-    for start in range(0, samples, _MC_CHUNK):
-        z = gen.standard_normal((min(_MC_CHUNK, samples - start), d))
-        terms = np.sqrt(np.einsum("ij,ij->i", z, z)) / space.gauge_many(z @ root)
+    # frame F_j reads the Gaussian row z as the direction z F_j root: z F_j
+    # is again standard Gaussian, and |z F_j| = |z|
+    lift = np.hstack([gram_schmidt(a) @ root for a in gen.standard_normal((k, d, d))])
+    # terms shifted by the first chunk's mean keep the variance exact when
+    # they are (nearly) constant, as for a quadratic ball.  s1 and s2 sum
+    # them per direction; r2, rn and nn sum U ** 2, n U and n ** 2 per row,
+    # where a row's U sums its n <= k shifted terms
+    shift = s1 = s2 = r2 = rn = nn = 0.0
+    rows = -(-samples // k)
+    for start in range(0, rows, _MC_CHUNK):
+        z = gen.standard_normal((min(_MC_CHUNK, rows - start), d))
+        m = min(len(z) * k, samples - start * k)  # the last row may carry fewer than k
+        norms = np.repeat(np.sqrt(np.einsum("ij,ij->i", z, z)), k)[:m]
+        terms = norms / space.gauge_many((z @ lift).reshape(-1, d)[:m])
         np.power(terms, d, out=terms)
         if start == 0:
             shift = float(terms.mean())
         terms -= shift
         s1 += float(terms.sum())
         s2 += float(terms @ terms)
-    mean = shift + s1 / samples
+        row = np.arange(m) // k
+        row_sums, sizes = np.bincount(row, terms), np.bincount(row)
+        r2 += float(row_sums @ row_sums)
+        rn += float(sizes @ row_sums)
+        nn += float(sizes @ sizes)
+    offset = s1 / samples
+    mean = shift + offset
     if not mean**2 > 0.0:  # the squared terms, and so the stderr, underflow first
         raise ValueError(f"monte-carlo volume underflows: the ball fills {mean:.3g} of its ellipsoid")
-    var = max(s2 / samples - (s1 / samples) ** 2, 0.0)
-    ess = samples * mean**2 / (var + mean**2)  # sum(t) ** 2 / sum(t ** 2)
+    var = max(s2 / samples - offset**2, 0.0)
+    ess = samples * mean**2 / (var + mean**2)  # sum(t) ** 2 / sum(t ** 2), per direction
     if not ess >= _MC_MIN_ESS:
         raise ValueError(
             f"monte-carlo volume rests on {ess:.3g} effective samples, under {_MC_MIN_ESS}: too thin a ball"
         )
+    # rows are independent but the directions of one row are not, so the
+    # stderr is the cluster one: sqrt(sum over rows of (T - n mean) ** 2) / samples
+    spread = max(r2 - 2.0 * offset * rn + offset**2 * nn, 0.0)
     vol_e = proposal.volume()
-    return VolumeEstimate(vol_e * mean, "monte-carlo", vol_e * math.sqrt(var / samples), samples)
+    return VolumeEstimate(vol_e * mean, "monte-carlo", vol_e * math.sqrt(spread) / samples, samples)
 
 
 def volume(
@@ -248,12 +278,22 @@ def volume(
     Monte-Carlo averages the radial function over Gaussian directions of
     the enclosing ellipsoid E = {x : x' Q x <= 1}: vol B = vol E * mean(t)
     with t = (|z| / g(Q^(-1/2) z)) ** d over ``samples`` standard Gaussian
-    z.  Each term is the hit-or-miss chance along one direction, in [0, 1]
-    as B lies in E.  A thin ball (a spiky r-hull) puts its mean on rare
+    directions z.  Each term is the hit-or-miss chance along one direction,
+    in [0, 1] as B lies in E.  The directions come four to a Gaussian row
+    z0: ``_MC_FRAMES`` = 4 random orthogonal frames F_j, drawn first from
+    the same generator (Gram-Schmidt of a Gaussian matrix), read it as
+    z = z0 F_j, again standard Gaussian with |z| = |z0|.  So ceil(samples /
+    4) rows give exactly ``samples`` directions, the last row perhaps fewer
+    than four.  Rows are independent and the directions of one row are
+    not, so the stderr is the cluster one over rows,
+    sqrt(sum_g (T_g - n_g mean) ** 2) / samples for a row g whose n_g
+    terms sum to T_g.  A thin ball (a spiky r-hull) puts its mean on rare
     directions, and a sample that misses them reads low with too small a
     stderr; so fewer than ``_MC_MIN_ESS`` = 2,000 effective samples
-    ``sum(t) ** 2 / sum(t ** 2)`` raise ``ValueError``, as does a share of
-    E whose square underflows (below about 2e-162).
+    ``sum(t) ** 2 / sum(t ** 2)``, counted over directions, raise
+    ``ValueError``, as does a share of E whose square underflows (below
+    about 2e-162).  ``samples`` is an integer of at least 10,000; booleans
+    and fractional counts raise ``ValueError``.
     """
     if not isinstance(obj, QuasiNormedSpace):
         raise ValueError("volume needs a QuasiNormedSpace")

@@ -54,7 +54,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import factorization, geometry, interpolation, randsigns, sidon, spaces
-from .numkernel import DegenerateMatrixError, RandomSource
+from .numkernel import DegenerateMatrixError, RandomSource, as_integer
 from .spaces import OperatorSpec, Polytope, WeightedLp, parse_space
 
 SCHEMA_VERSION = "1"
@@ -99,11 +99,11 @@ class ExperimentConfig:
         if isinstance(self.spaces, str):  # tuple() would split it into characters
             raise ValueError(f"spaces must be a list of space strings, got {self.spaces!r}")
         object.__setattr__(self, "spaces", tuple(str(s) for s in self.spaces))
-        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        object.__setattr__(self, "seed", as_integer("seed", self.seed))
         for name in ("dim", "samples", "trials", "budget"):
             value = getattr(self, name)
             if value is not None:
-                if _integer(name, value) < 1:
+                if as_integer(name, value) < 1:
                     raise ValueError(f"{name} must be a positive integer, got {value}")
                 object.__setattr__(self, name, int(value))
         for name in ("tolerance", "theta", "p"):
@@ -126,16 +126,6 @@ class ExperimentConfig:
         if "experiment" not in data:
             raise ValueError("config needs an 'experiment' key")
         return cls(**data)
-
-
-def _integer(name: str, value) -> int:
-    """``int(value)``, refusing booleans and non-integral numbers that it
-    would silently truncate; integer strings such as ``"5"`` pass."""
-    if isinstance(value, (bool, np.bool_)) or (
-        isinstance(value, (float, np.floating)) and not float(value).is_integer()
-    ):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _json_safe(obj):

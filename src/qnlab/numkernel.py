@@ -52,6 +52,16 @@ def as_matrix(a, rows=None, cols=None) -> np.ndarray:
     return m
 
 
+def as_integer(name: str, value) -> int:
+    """``int(value)``, refusing booleans and non-integral numbers that it
+    would silently truncate; integer strings such as ``"5"`` pass."""
+    if isinstance(value, (bool, np.bool_)) or (
+        isinstance(value, (float, np.floating)) and not float(value).is_integer()
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def frozen_array(a) -> np.ndarray:
     """Copy to a float array and make it read-only (for dataclass fields)."""
     out = np.array(a, dtype=float)

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numkernel import RandomSource, as_matrix
+from .numkernel import RandomSource, as_integer, as_matrix
 from .spaces import OperatorSpec, QuasiNormedSpace
 
 MAX_EXACT_N = 12
@@ -92,7 +92,8 @@ def rademacher_average(
     """q-th power mean of ``gauge(sum_i eps_i x_i)`` over sign patterns.
 
     ``mode='exact'`` enumerates all 2^N patterns (N <= 12, stderr 0);
-    ``mode='sampled'`` draws ``samples`` (at least 10_000) patterns from
+    ``mode='sampled'`` draws ``samples`` (an integer of at least 10_000;
+    booleans and fractional counts raise ``ValueError``) patterns from
     ``rng`` and attaches a delta-method standard error (q = inf sampled
     reports stderr 0 on the max, which is only a lower estimate).
     """
@@ -104,6 +105,7 @@ def rademacher_average(
         return RademacherAverage(float(_sign_averages(space, V[None], q)[0]), 0.0, "exact", 2**n)
     if mode != "sampled":
         raise ValueError("mode must be 'exact' or 'sampled'")
+    samples = as_integer("samples", samples)
     if samples < 10_000:
         raise ValueError("sampled mode needs at least 10_000 patterns")
     signs = 1.0 - 2.0 * rng.generator().integers(0, 2, size=(samples, n))

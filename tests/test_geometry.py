@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnlab import geometry
-from qnlab.numkernel import RandomSource
+from qnlab.numkernel import RandomSource, spd_power
 from qnlab.geometry import (
     Ellipsoid,
     inscribed_ellipsoid,
@@ -200,6 +200,65 @@ class TestVolume:
         assert est.samples == ref.samples == 10_003
         assert est.value == pytest.approx(ref.value, rel=1e-12)
         assert est.stderr == pytest.approx(ref.stderr, rel=1e-9)
+
+    @pytest.mark.parametrize("samples", [10_001, 10_002, 10_003])
+    def test_monte_carlo_counts_every_sample(self, samples, monkeypatch):
+        # the frames read each Gaussian row as several directions, and the
+        # last row carries only what is left of the count
+        space = WeightedLp(0.5, [1.0, 2.0, 0.7])
+        points = []
+        gauge_many = WeightedLp.gauge_many
+        monkeypatch.setattr(WeightedLp, "gauge_many", lambda sp, x: points.append(len(x)) or gauge_many(sp, x))
+        assert volume(space, "monte-carlo", RandomSource(3), samples).samples == samples
+        assert sum(points) == samples
+
+    @pytest.mark.parametrize("samples", [20_000.5, True, np.float64(10_000.25)])
+    def test_monte_carlo_rejects_non_integer_counts(self, samples):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            volume(SQUARE, "monte-carlo", RandomSource(1), samples)
+
+    def test_monte_carlo_takes_an_integral_float_count(self):
+        est = volume(SQUARE, "monte-carlo", RandomSource(1), 20_000.0)
+        assert est == volume(SQUARE, "monte-carlo", RandomSource(1), 20_000)
+        assert type(est.samples) is int
+
+    def test_monte_carlo_stderr_is_calibrated(self):
+        # the directions of one Gaussian row share it, so only a stderr taken
+        # over rows keeps (value - exact) / stderr at unit variance.  At 10k
+        # draws a third of the l_1/2^4 seeds fall under the 2,000 effective
+        # samples floor, so that ball gets 20k
+        verts = RandomSource(3).generator().standard_normal((5, 3))
+        balls = [
+            (WeightedLp(0.5, [1.0, 1.5, 0.7, 1.2]), 20_000),
+            (Polytope(np.vstack([verts, -verts])), 10_000),
+            (WeightedLp.unweighted(3.0, 3), 10_000),
+        ]
+        for space, samples in balls:
+            exact = volume(space, "auto").value
+            z = [
+                (est.value - exact) / est.stderr
+                for est in (volume(space, "monte-carlo", RandomSource(seed), samples) for seed in range(200))
+            ]
+            assert 0.7 <= np.mean(np.square(z)) <= 1.4
+
+    @pytest.mark.parametrize("samples", [40_000, 40_002])
+    def test_monte_carlo_stderr_is_taken_over_rows(self, samples, monkeypatch):
+        # with every frame the identity, a row's directions coincide: the
+        # estimate rests on its rows, weighted by the directions they carry,
+        # and a stderr over single directions would read half the true one
+        monkeypatch.setattr(geometry, "gram_schmidt", lambda a: np.eye(len(a)))
+        space = WeightedLp(1.0, [1.0, 2.0, 0.7])
+        est = volume(space, "monte-carlo", RandomSource(5), samples)
+        proposal = mvee_of_ball(space)
+        k = geometry._MC_FRAMES
+        gen = RandomSource(5).generator()
+        gen.standard_normal((k, 3, 3))  # the frames come first
+        z = gen.standard_normal((-(-samples // k), 3))
+        t = (np.linalg.norm(z, axis=1) / space.gauge_many(z @ spd_power(proposal.shape, -0.5))) ** 3
+        n = np.minimum(k, samples - k * np.arange(len(z)))
+        mean = n @ t / samples
+        assert est.value == pytest.approx(proposal.volume() * mean, rel=1e-12)
+        assert est.stderr == pytest.approx(proposal.volume() * np.linalg.norm(n * (t - mean)) / samples, rel=1e-9)
 
     def test_monte_carlo_defaults_rng_and_needs_enough_samples(self):
         default = volume(SQUARE, method="monte-carlo", samples=50_000)

@@ -65,6 +65,16 @@ class TestRademacherAverage:
         with pytest.raises(ValueError):
             rademacher_average(EUCLID2, np.eye(2), 2.0, mode="sampled", rng=RandomSource(1), samples=100)
 
+    @pytest.mark.parametrize("samples", [20_000.5, True, np.float64(10_000.25)])
+    def test_sampled_rejects_non_integer_counts(self, samples):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            rademacher_average(EUCLID2, np.eye(2), 2.0, mode="sampled", samples=samples)
+
+    def test_sampled_takes_an_integral_float_count(self):
+        res = rademacher_average(EUCLID2, np.eye(2), 2.0, mode="sampled", samples=20_000.0)
+        assert res == rademacher_average(EUCLID2, np.eye(2), 2.0, mode="sampled", samples=20_000)
+        assert type(res.samples) is int
+
     @given(st.permutations(range(3)))
     @settings(max_examples=10, deadline=None)
     def test_vector_order_invariance(self, perm):
