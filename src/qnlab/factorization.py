@@ -9,9 +9,9 @@ finitely many dual atoms), quadratic (quadratic source and target) and
 Hölder (a diagonal map between kinds whose gauge is a weighted power sum
 ``||a x||_p``, the kind's ``lp_form``).  The same table gives
 the equivalence constants of two spaces, as norms of the identity.
-Every norm carries one of three kinds: ``exact`` from a route,
-``upper-bound`` from the row bound, ``lower-bound`` from a certified
-search.
+Every norm is an ``OpNormResult`` that names its route and, where the
+route has one, a witness; its kind follows from the route: ``exact`` from
+the table, ``upper-bound`` from the row bound, ``lower-bound`` from a search.
 
 * ``op_norm`` is exact on a route and a searched lower bound otherwise;
   the factor and residual norms below (``_norm_bound``) take the same
@@ -22,10 +22,10 @@ search.
   exactly when both factor norms were evaluated exactly or as genuine
   upper bounds, recorded in ``certified``;
 * ``euclidean_distance`` is that bracket for the identity;
-* ``envelope_distance`` is a certified lower bound with witness: the gauge
-  maximized over the convex-envelope unit sphere;
 * ``delta`` is the operator norm from the envelope source, which is the
   least factorization product through a Banach space;
+* ``envelope_distance`` is delta of the identity: the norm of the identity
+  from the convex envelope onto the space;
 * ``approx_numbers`` is exact (a singular value) for quadratic targets and
   an upper bound from low-rank fitting otherwise.
 """
@@ -37,18 +37,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import RandomSource, as_matrix, frozen_array, singular_values, spd_power, svd
-from .randsigns import ConstantEstimate, _best_ascent, _guarded_ratio
+from .numkernel import RandomSource, as_integer, as_matrix, frozen_array, singular_values, spd_power, svd
+from .randsigns import _best_ascent, _guarded_ratio
 from .spaces import OperatorSpec, QuasiNormedSpace, WeightedLp
 from .geometry import mvee_of_ball
 
 @dataclass(frozen=True)
 class OpNormResult:
+    """An operator norm, its route and, where the route has one, a witness
+    x of source gauge 1 at which the target gauge of M x is the value."""
+
     value: float
-    kind: str  # exact | lower-bound | upper-bound
+    route: str  # zero | atoms | dual-atoms | quadratic | hölder | row-bound | ascent
+    witness: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.witness is not None:
+            object.__setattr__(self, "witness", frozen_array(self.witness))
+
+    @property
+    def kind(self) -> str:  # exact | upper-bound | lower-bound
+        return {"row-bound": "upper-bound", "ascent": "lower-bound"}.get(self.route, "exact")
 
 
-def _search_op_norm(u: OperatorSpec, budget: int, rng: RandomSource) -> float:
+def _search_op_norm(u: OperatorSpec, budget: int, rng: RandomSource) -> OpNormResult:
     m = np.asarray(u.matrix)
     d = u.source.dim
 
@@ -58,10 +70,11 @@ def _search_op_norm(u: OperatorSpec, budget: int, rng: RandomSource) -> float:
 
     starts = [np.ones(d), *np.eye(d), *-np.eye(d)]
     starts += [rng.split(3, i).generator().standard_normal(d) for i in range(max(4, budget // 500))]
-    return _best_ascent(objective, starts, max(budget, 60 * d))[0]
+    value, x = _best_ascent(objective, starts, max(budget, 60 * d))
+    return OpNormResult(value, "ascent", x / u.source.gauge(x))
 
 
-def _exact_op_norm(u: OperatorSpec) -> float | None:
+def _exact_op_norm(u: OperatorSpec) -> OpNormResult | None:
     """The operator norm by the first exact route that applies, or None.
 
     * zero: a zero matrix has norm 0;
@@ -78,54 +91,58 @@ def _exact_op_norm(u: OperatorSpec) -> float | None:
     """
     m = np.asarray(u.matrix)
     if not np.any(m):
-        return 0.0
+        return OpNormResult(0.0, "zero")
     atoms = u.source.ball_atoms()
     if atoms is not None and atoms[1] <= u.target.r_exponent + 1e-15:
-        return float(u.target.gauge_many(atoms[0] @ m.T).max())
+        gains = u.target.gauge_many(atoms[0] @ m.T)
+        return OpNormResult(float(gains.max()), "atoms", atoms[0][gains.argmax()])
     dual = u.target.dual_atoms()
     source_dual = None if dual is None else u.source._dual
     if source_dual is not None:
-        return float(source_dual.gauge_many(dual @ m).max())
+        return OpNormResult(float(source_dual.gauge_many(dual @ m).max()), "dual-atoms")
     qs, qt = u.source.quadratic_form, u.target.quadratic_form
     if qs is not None and qt is not None:
-        return float(singular_values(spd_power(qt, 0.5) @ m @ spd_power(qs, -0.5))[0])
+        root = spd_power(qs, -0.5)
+        s, _, vt = svd(spd_power(qt, 0.5) @ m @ root)
+        return OpNormResult(float(s[0]), "quadratic", root @ vt[0])
     ls, lt = u.source.lp_form(), u.target.lp_form()
     if ls is None or lt is None or m.shape[0] != m.shape[1] or np.any(m - np.diag(np.diag(m))):
         return None
-    return _lp_ratio_sup(np.abs(np.diag(m)) * lt[1] / ls[1], ls[0], lt[0])
+    value, z = _lp_ratio_sup(np.abs(np.diag(m)) * lt[1] / ls[1], ls[0], lt[0])
+    return OpNormResult(value, "hölder", z / ls[1])
 
 
-def _lp_ratio_sup(a: np.ndarray, p: float, q: float) -> float:
-    """``sup over y != 0 of ||a y||_q / ||y||_p`` for a >= 0, not all 0:
-    max a_i when q >= p (an axis attains it), else ||a||_rho with
-    1/rho = 1/q - 1/p (Hölder; y = a^(rho/p) attains it)."""
+def _lp_ratio_sup(a: np.ndarray, p: float, q: float) -> tuple[float, np.ndarray]:
+    """``sup over y != 0 of ||a y||_q / ||y||_p`` for a >= 0, not all 0, and
+    a maximizer with ||y||_p = 1: max a_i when q >= p (its axis attains it),
+    else ||a||_rho with 1/rho = 1/q - 1/p (Hölder; y ~ a^(rho/p) attains it)."""
     top = float(a.max())
     if q >= p:
-        return top
+        return top, np.eye(a.size)[a.argmax()]
     rho = 1.0 / (1.0 / q - 1.0 / p)
-    return top * float(np.sum((a / top) ** rho) ** (1.0 / rho))  # overflow-safe
+    y = (a / top) ** (rho / p)  # overflow-safe, as is the value below
+    return top * float(np.sum((a / top) ** rho) ** (1.0 / rho)), y / np.linalg.norm(y, p)
 
 
 def op_norm(u: OperatorSpec, budget: int = 2000, rng: RandomSource = RandomSource(0)) -> OpNormResult:
-    """Largest gauge amplification of the operator: exact (kind ``exact``)
-    on the routes of ``_exact_op_norm``, else a certified lower bound (kind
-    ``lower-bound``) from coordinate ascent, ``budget`` evaluations per
-    start, from the axes, the ones vector and seeded Gaussian starts.
-    ``budget`` must be positive whichever way the norm is found."""
+    """Largest gauge amplification of the operator: exact on the routes of
+    ``_exact_op_norm``, else a certified lower bound (route ``ascent``)
+    from coordinate ascent, ``budget`` evaluations per start, from the
+    axes, the ones vector and seeded Gaussian starts.  ``budget`` must be
+    a positive integer whichever way the norm is found."""
+    budget = as_integer("budget", budget)
     if budget <= 0:
         raise ValueError("op_norm needs a positive budget")
     exact = _exact_op_norm(u)
-    if exact is not None:
-        return OpNormResult(exact, "exact")
-    return OpNormResult(_search_op_norm(u, budget, rng), "lower-bound")
+    return exact if exact is not None else _search_op_norm(u, budget, rng)
 
 
 def _norm_bound(
     matrix: np.ndarray, source: QuasiNormedSpace, target: QuasiNormedSpace, rng: RandomSource
 ) -> OpNormResult:
-    """The operator norm by the routes of ``_exact_op_norm`` (kind
-    ``exact``), else the row bound (kind ``upper-bound``), else a
-    500-evaluation search (kind ``lower-bound``).
+    """The operator norm by the routes of ``_exact_op_norm``, else the row
+    bound (route ``row-bound``, an upper bound), else a 500-evaluation
+    search (route ``ascent``, a lower bound).
 
     The row bound applies to a quadratic source against an unconditional
     target: the target gauge of the vector of whitened row lengths, since
@@ -134,12 +151,12 @@ def _norm_bound(
     u = OperatorSpec(matrix, source, target)
     exact = _exact_op_norm(u)
     if exact is not None:
-        return OpNormResult(exact, "exact")
+        return exact
     qs = source.quadratic_form
     if qs is not None and target.is_unconditional:
         rows = np.asarray(matrix) @ spd_power(qs, -0.5)
-        return OpNormResult(target.gauge(np.sqrt((rows**2).sum(axis=1))), "upper-bound")
-    return OpNormResult(_search_op_norm(u, 500, rng), "lower-bound")
+        return OpNormResult(target.gauge(np.sqrt((rows**2).sum(axis=1))), "row-bound")
+    return _search_op_norm(u, 500, rng)
 
 
 @dataclass(frozen=True)
@@ -214,6 +231,7 @@ def gamma2_upper(
     identities also the enclosing ellipsoid's shape root, within sqrt(dim)
     of optimal by John's theorem).  The zero map factors through dim 1.
     """
+    budget = as_integer("budget", budget)
     m = np.asarray(u.matrix)
     dy, dx = m.shape
     if not np.any(m):
@@ -282,24 +300,6 @@ def euclidean_distance(
     return gamma2_upper(OperatorSpec.identity(space), budget, rng)
 
 
-def envelope_distance(
-    space: QuasiNormedSpace, budget: int = 8, rng: RandomSource = RandomSource(0)
-) -> ConstantEstimate:
-    """Certified lower bound (with witness) on the distance to the convex
-    envelope: the gauge maximized over the envelope unit sphere."""
-    d = space.dim
-
-    def objective(X):
-        env = space._envelope.gauge_many(X)
-        return _guarded_ratio(space.gauge_many(X), env, env > 1e-18)
-
-    starts = [np.ones(d), *np.eye(d)]
-    starts += [np.abs(rng.split(5, i).generator().standard_normal(d)) for i in range(max(budget, 2))]
-    best_v, best_x = _best_ascent(objective, starts, 80 * d)
-    env = space.envelope_gauge(best_x)
-    return ConstantEstimate(best_v, "certified-lower-bound", best_x / env)
-
-
 def delta(u: OperatorSpec, rng: RandomSource = RandomSource(0)) -> OpNormResult:
     """The least factorization product delta(u) through a Banach space.
 
@@ -312,7 +312,15 @@ def delta(u: OperatorSpec, rng: RandomSource = RandomSource(0)) -> OpNormResult:
     certified lower bound on delta when it was searched (kind
     ``lower-bound``).
     """
-    return op_norm(OperatorSpec(u.matrix, u.source.envelope_space(), u.target), rng=rng)
+    return op_norm(OperatorSpec(u.matrix, u.source._envelope, u.target), rng=rng)
+
+
+def envelope_distance(
+    space: QuasiNormedSpace, budget: int = 2000, rng: RandomSource = RandomSource(0)
+) -> OpNormResult:
+    """The largest g_X(x) / g_env(x): delta of the identity, the norm of the
+    identity from the convex envelope onto the space."""
+    return op_norm(OperatorSpec(np.eye(space.dim), space._envelope, space), budget, rng)
 
 
 @dataclass(frozen=True)
@@ -327,6 +335,7 @@ def gaussian_mean(u: OperatorSpec, samples: int = 100_000, rng: RandomSource = R
     Gaussian vector; standard error by batch means."""
     if not u.source.is_euclidean:
         raise ValueError("gaussian mean needs a Euclidean source")
+    samples = as_integer("samples", samples)
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
     m = np.asarray(u.matrix)
@@ -362,6 +371,7 @@ def approx_numbers(u: OperatorSpec, k: int, rng: RandomSource = RandomSource(0))
     an exact route or the row bound, and ``search`` when it was a searched
     lower estimate of that norm.
     """
+    k = as_integer("k", k)
     if k < 1:
         raise ValueError("k must be at least 1")
     qs = u.source.quadratic_form

@@ -443,7 +443,6 @@ def _run_gamma2(config: ExperimentConfig):
         name = str(sp)
         ident = OperatorSpec.identity(sp)
         g = factorization.gamma2_upper(ident, budget=config.budget, rng=rng.split(10, i))
-        env = factorization.envelope_distance(sp, budget=config.budget, rng=rng.split(12, i))
         delta = factorization.delta(ident, rng=rng.split(13, i))
         records.append(
             {
@@ -451,7 +450,6 @@ def _run_gamma2(config: ExperimentConfig):
                 "gamma2_lower": g.lower,
                 "gamma2_upper": g.upper,
                 "gamma2_certified": g.certified,
-                "envelope_distance": env.value,
                 "delta": delta.value,
                 "delta_kind": delta.kind,
             }
@@ -486,15 +484,8 @@ def _run_gamma2(config: ExperimentConfig):
             verdicts.append(
                 _verdict(
                     f"envelope distance near closed form {name}",
-                    0.98 * target <= env.value <= target * (1.0 + 1e-9),
-                    f"value {env.value:.6f} vs closed form {target:.6f}",
-                )
-            )
-            verdicts.append(
-                _verdict(
-                    f"identity envelope route matches distance {name}",
-                    abs(delta.value - env.value) <= 1e-3 * max(1.0, env.value),
-                    f"route {delta.value:.6f} vs distance {env.value:.6f}",
+                    0.98 * target <= delta.value <= target * (1.0 + 1e-9),
+                    f"delta {delta.value:.6f} vs closed form {target:.6f}",
                 )
             )
     return records, verdicts

@@ -58,7 +58,7 @@ import scipy.linalg
 from scipy.optimize import minimize
 
 from .factorization import _exact_op_norm, op_norm
-from .numkernel import RandomSource, as_matrix, as_vector
+from .numkernel import RandomSource, as_integer, as_matrix, as_vector
 from .spaces import OperatorSpec, QuasiNormedSpace, Quadratic
 from .randsigns import ConstantEstimate, _guarded_ratio, _row_gauges, _search_tuples, _sign_averages
 
@@ -126,7 +126,7 @@ class NormPair:
         cap = _exact_op_norm(OperatorSpec(eye, self.space0, self.space1))
         if back is None or cap is None:
             return None
-        return 1.0 / back, cap
+        return 1.0 / back.value, cap.value
 
 
 @dataclass(frozen=True)
@@ -574,6 +574,7 @@ def equal_norms_type(
     ``L2 sign average <= T * N^(1/p) * max_i gauge(x_i)`` over N-tuples."""
     if not (0 < p <= 2):
         raise ValueError("need 0 < p <= 2")
+    n, budget = as_integer("n", n), as_integer("budget", budget)
     if not (1 <= n <= 12):
         raise ValueError("need 1 <= N <= 12")
     scale = n ** (1.0 / p)

@@ -225,6 +225,7 @@ def type2_lower(
     """Certified lower bound for the sign-average domination constant
     ``L2 average of gauge_Y(u x_i sum) <= T * (sum gauge_X(x_i)^2)^(1/2)``
     over N-tuples, with the maximizing witness tuple."""
+    n, budget = as_integer("n", n), as_integer("budget", budget)
     if not (1 <= n <= MAX_EXACT_N):
         raise ValueError(f"need 1 <= N <= {MAX_EXACT_N}")
 
@@ -244,6 +245,7 @@ def cotype2_lower(
 ) -> ConstantEstimate:
     """Certified lower bound for the reverse domination constant
     ``(sum gauge_Y(u x_i)^2)^(1/2) <= C * L2 average of gauge_X(x_i sum)``."""
+    n, budget = as_integer("n", n), as_integer("budget", budget)
     if not (1 <= n <= MAX_EXACT_N):
         raise ValueError(f"need 1 <= N <= {MAX_EXACT_N}")
 
@@ -268,6 +270,7 @@ def kconvexity_lower(
     and the L2 ratio ``|Pf| / |f|`` is maximized over f.  The witness is
     the table of f values, one row per sign pattern.
     """
+    n, budget = as_integer("n", n), as_integer("budget", budget)
     if not (1 <= n <= MAX_PROJECTION_N):
         raise ValueError(f"projection search capped at N = {MAX_PROJECTION_N}")
     pats = sign_patterns(n)

@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 from scipy.optimize import linprog
 
-from .numkernel import RandomSource, frozen_array
+from .numkernel import RandomSource, as_integer, frozen_array
 from .randsigns import (
     ConstantEstimate,
     _as_tuple,
@@ -237,6 +237,7 @@ def imbalance_lower(
     """Certified lower bound for the worst moment-comparison imbalance
     ``max(ratio, 1/ratio)`` of ``cp_ratio`` over coefficient tuples, one
     vector per character, with the maximizing witness tuple."""
+    budget = as_integer("budget", budget)
     if not (p > 0):
         raise ValueError("p must be positive (math.inf allowed)")
     re, im = character_matrix(group, chars)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from qnlab.numkernel import RandomSource, singular_values
 from qnlab.factorization import (
+    _norm_bound,
     _search_op_norm,
     approx_numbers,
     delta,
@@ -21,7 +22,10 @@ from qnlab.factorization import (
     gaussian_mean,
     op_norm,
 )
-from qnlab.spaces import OperatorSpec, Polytope, Quadratic, Schatten, WeightedLp
+from qnlab.interpolation import equal_norms_type
+from qnlab.randsigns import cotype2_lower, kconvexity_lower, type2_lower
+from qnlab.sidon import FiniteAbelianGroup, all_characters, imbalance_lower
+from qnlab.spaces import OperatorSpec, Polytope, Quadratic, RConvexAtoms, Schatten, WeightedLp
 
 EUCLID2 = WeightedLp.euclidean(2)
 EUCLID3 = WeightedLp.euclidean(3)
@@ -70,7 +74,7 @@ class TestOpNorm:
     def test_zero_operator(self):
         res = op_norm(OperatorSpec(np.zeros((2, 2)), EUCLID2, EUCLID2))
         assert res.value == 0.0
-        assert res.kind == "exact"
+        assert (res.route, res.kind, res.witness) == ("zero", "exact", None)
 
     def test_scaling_homogeneity(self):
         gen = RandomSource(13).generator()
@@ -86,6 +90,106 @@ class TestOpNorm:
         for u in (exact_pair, searched_pair):
             with pytest.raises(ValueError, match="budget"):
                 op_norm(u, budget=0)
+
+
+ROUTE_KINDS = {
+    "zero": "exact",
+    "atoms": "exact",
+    "dual-atoms": "exact",
+    "quadratic": "exact",
+    "hölder": "exact",
+    "row-bound": "upper-bound",
+    "ascent": "lower-bound",
+}
+WITNESS_KINDS = ["lp0.5", "lp1", "lp1.5", "lp2", "lp3", "linf", "quadratic", "polytope", "atoms", "schatten"]
+
+
+def _seeded_space(kind, d, gen):
+    if kind.startswith("lp") or kind == "linf":
+        p = math.inf if kind == "linf" else float(kind[2:])
+        return WeightedLp(p, gen.uniform(0.5, 2.0, d))
+    if kind == "quadratic":
+        g = gen.standard_normal((d, d))
+        return Quadratic(g @ g.T + np.eye(d))
+    if kind == "polytope":
+        v = np.vstack([gen.standard_normal((d + 1, d)), np.eye(d)])
+        return Polytope(np.vstack([v, -v]))
+    if kind == "atoms":
+        return RConvexAtoms(gen.standard_normal((d + 1, d)), 0.5)
+    return Schatten(0.5, 1, d)
+
+
+class TestNormWitness:
+    """Every operator norm names its route, its kind follows from the route,
+    and a witness has source gauge 1 and reproduces the value."""
+
+    @given(
+        st.sampled_from(WITNESS_KINDS),
+        st.sampled_from(WITNESS_KINDS),
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=2, max_value=3),
+        st.booleans(),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_witness_reproduces_value(self, kind_s, kind_t, ds, dt, diagonal, seed):
+        gen = RandomSource(48, (seed,)).generator()
+        if diagonal:
+            dt = ds
+        source, target = _seeded_space(kind_s, ds, gen), _seeded_space(kind_t, dt, gen)
+        m = np.diag(gen.uniform(-3.0, 3.0, ds)) if diagonal else gen.standard_normal((dt, ds))
+        rng = RandomSource(49, (seed,))
+        for res in (op_norm(OperatorSpec(m, source, target), budget=200, rng=rng),
+                    _norm_bound(m, source, target, rng)):
+            assert res.kind == ROUTE_KINDS[res.route]
+            assert (res.witness is None) == (res.route in ("zero", "dual-atoms", "row-bound"))
+            if res.witness is not None:
+                w = res.witness
+                assert source.gauge(w) == pytest.approx(1.0, rel=1e-12)
+                assert target.gauge(m @ w) / source.gauge(w) == pytest.approx(res.value, rel=1e-12)
+
+
+_SMALL_MAP = OperatorSpec(np.array([[1.0, 2.0], [0.0, 1.0]]), EUCLID2, WeightedLp.unweighted(1.5, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gamma2_upper(_SMALL_MAP, budget=2.5),
+        lambda: type2_lower(_SMALL_MAP, 2, budget=2.5),
+        lambda: type2_lower(_SMALL_MAP, 2.5),
+        lambda: kconvexity_lower(_SMALL_MAP, 2.5),
+        lambda: cotype2_lower(_SMALL_MAP, True),
+        lambda: equal_norms_type(EUCLID2, 1.0, 2.5),
+        lambda: approx_numbers(_SMALL_MAP, 1.5),
+        lambda: approx_numbers(_SMALL_MAP, True),
+        lambda: gaussian_mean(_SMALL_MAP, samples=1000.5),
+        lambda: op_norm(_SMALL_MAP, budget=True),
+        lambda: imbalance_lower(FiniteAbelianGroup((2,)), all_characters(FiniteAbelianGroup((2,))), EUCLID2, 2.0, 1.5),
+    ],
+    ids=[
+        "gamma2_upper-budget", "type2_lower-budget", "type2_lower-n", "kconvexity_lower-n",
+        "cotype2_lower-n", "equal_norms_type-n", "approx_numbers-k", "approx_numbers-bool",
+        "gaussian_mean-samples", "op_norm-bool", "imbalance_lower-budget",
+    ],
+)
+def test_counts_must_be_integers(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "search,args",
+    [
+        (type2_lower, (_SMALL_MAP,)),
+        (kconvexity_lower, (_SMALL_MAP,)),
+        (equal_norms_type, (EUCLID2, 1.0)),
+    ],
+)
+def test_integral_float_counts_run_as_integers(search, args):
+    a, b = search(*args, 2.0, budget=1), search(*args, 2, budget=1)
+    assert a.value == b.value
+    assert np.array_equal(a.witness, b.witness)
 
 
 def _lp_dual_norm(a, p):
@@ -131,7 +235,7 @@ class TestDualAtomRoute:
             res = op_norm(u)
             assert res.kind == "exact"
             assert res.value == pytest.approx(max(_lp_dual_norm(m.T @ e, 3.0) for e in signs), rel=1e-12)
-            assert res.value >= _search_op_norm(u, 2000, RandomSource(45, (i,)))
+            assert res.value >= _search_op_norm(u, 2000, RandomSource(45, (i,))).value
 
     @given(
         st.sampled_from(["box", "polytope"]),
@@ -330,8 +434,8 @@ class TestDistances:
     )
     def test_envelope_distance_unweighted(self, n, p, target):
         res = envelope_distance(WeightedLp.unweighted(p, n), rng=RandomSource(6))
-        assert res.kind == "certified-lower-bound"
-        assert res.value == pytest.approx(target, rel=1e-9)
+        assert (res.kind, res.route) == ("exact", "hölder")
+        assert res.value == pytest.approx(target, rel=1e-12)
 
     def test_envelope_distance_witness_reproduces_value(self):
         sp = WeightedLp.unweighted(0.5, 3)
@@ -347,12 +451,6 @@ class TestDistances:
         res1 = delta(OperatorSpec.identity(WeightedLp.unweighted(1.0, 3)), rng=RandomSource(7))
         assert res1.value == pytest.approx(1.0, rel=1e-9)
         assert res1.kind == "exact"
-
-    def test_envelope_route_matches_envelope_distance(self):
-        sp = WeightedLp.unweighted(2 / 3, 2)
-        via_op = delta(OperatorSpec.identity(sp), rng=RandomSource(8))
-        direct = envelope_distance(sp, rng=RandomSource(8))
-        assert via_op.value == pytest.approx(direct.value, rel=1e-6)
 
 
 class TestGaussianMean:
