@@ -130,9 +130,7 @@ def op_norm(u: OperatorSpec, budget: int = 2000, rng: RandomSource = RandomSourc
     from coordinate ascent, ``budget`` evaluations per start, from the
     axes, the ones vector and seeded Gaussian starts.  ``budget`` must be
     a positive integer whichever way the norm is found."""
-    budget = as_integer("budget", budget)
-    if budget <= 0:
-        raise ValueError("op_norm needs a positive budget")
+    budget = as_integer("budget", budget, 1)
     exact = _exact_op_norm(u)
     return exact if exact is not None else _search_op_norm(u, budget, rng)
 
@@ -231,7 +229,7 @@ def gamma2_upper(
     identities also the enclosing ellipsoid's shape root, within sqrt(dim)
     of optimal by John's theorem).  The zero map factors through dim 1.
     """
-    budget = as_integer("budget", budget)
+    budget = as_integer("budget", budget, 0)
     m = np.asarray(u.matrix)
     dy, dx = m.shape
     if not np.any(m):
@@ -268,7 +266,7 @@ def gamma2_upper(
                 best = (nw * nv, w, v, nw, nv, ok)
     k = best[1].shape[0]
     scale = 0.25
-    for i in range(max(budget, 0)):
+    for i in range(budget):
         _, wb, vb, _, _, _ = best
         t = np.eye(k) + scale * rng.split(2, i).generator().standard_normal((k, k))
         try:
@@ -335,9 +333,7 @@ def gaussian_mean(u: OperatorSpec, samples: int = 100_000, rng: RandomSource = R
     Gaussian vector; standard error by batch means."""
     if not u.source.is_euclidean:
         raise ValueError("gaussian mean needs a Euclidean source")
-    samples = as_integer("samples", samples)
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples")
+    samples = as_integer("samples", samples, 1000)
     m = np.asarray(u.matrix)
     if not np.any(m):
         return GaussianMean(0.0, 0.0, samples)
@@ -371,9 +367,7 @@ def approx_numbers(u: OperatorSpec, k: int, rng: RandomSource = RandomSource(0))
     an exact route or the row bound, and ``search`` when it was a searched
     lower estimate of that norm.
     """
-    k = as_integer("k", k)
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    k = as_integer("k", k, 1)
     qs = u.source.quadratic_form
     if qs is None:
         raise ValueError("approximation numbers need a quadratic source")

@@ -209,9 +209,7 @@ class VolumeEstimate:
 
 
 def _mc_volume(space: QuasiNormedSpace, rng: RandomSource, samples: int) -> VolumeEstimate:
-    samples = as_integer("samples", samples)
-    if samples < _MC_MIN_SAMPLES:
-        raise ValueError(f"monte-carlo volume needs at least {_MC_MIN_SAMPLES} samples")
+    samples = as_integer("samples", samples, _MC_MIN_SAMPLES)
     proposal = mvee_of_ball(space)
     d = proposal.dim
     k = _MC_FRAMES
@@ -397,9 +395,9 @@ def section_projection_volume_check(space: WeightedLp, subset) -> SplitVolumeRes
     beta = round(1.0 / space.p)
     if beta not in (1, 2, 3) or abs(1.0 / space.p - beta) > 1e-12:
         raise ValueError("need p = 1/beta with beta in {1, 2, 3}")
-    idx = tuple(sorted(set(int(i) for i in subset)))
     n = space.dim
-    if not idx or idx[0] < 0 or idx[-1] >= n or len(idx) >= n:
+    idx = tuple(sorted({as_integer(f"subset[{j}]", i, 0, n - 1) for j, i in enumerate(subset)}))
+    if not idx or len(idx) >= n:
         raise ValueError("subset must be a proper nonempty coordinate set")
     comp = tuple(i for i in range(n) if i not in idx)
     k = len(idx)

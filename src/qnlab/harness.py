@@ -103,9 +103,7 @@ class ExperimentConfig:
         for name in ("dim", "samples", "trials", "budget"):
             value = getattr(self, name)
             if value is not None:
-                if as_integer(name, value) < 1:
-                    raise ValueError(f"{name} must be a positive integer, got {value}")
-                object.__setattr__(self, name, int(value))
+                object.__setattr__(self, name, as_integer(name, value, 1))
         for name in ("tolerance", "theta", "p"):
             value = getattr(self, name)
             if value is not None:

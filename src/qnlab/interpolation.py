@@ -392,10 +392,9 @@ def k_functional(
     """
     if not (t > 0):
         raise ValueError("t must be positive")
-    if budget <= 0:
-        raise ValueError("the split search needs a positive budget")
-    if not (s > 0) or s < pair.r_exponent:
-        raise ValueError("need exponent s >= the pair's triangle exponent")
+    budget = as_integer("budget", budget, 1)
+    if not (pair.r_exponent <= s < math.inf):  # at s = inf the split's value x ** (1/s) is 1
+        raise ValueError("need a finite exponent s >= the pair's triangle exponent")
     v = as_vector(x, pair.dim)
     if not np.any(v):
         return KValue(0.0, 0.0, True)
@@ -438,12 +437,10 @@ class ThetaParams:
     def __post_init__(self):
         if not (0 < self.theta < 1):
             raise ValueError("theta must lie in (0, 1)")
-        if not (self.t_min <= 1e-4 and self.t_max >= 1e4):
-            raise ValueError("the grid must cover at least [1e-4, 1e4]")
-        if self.nodes < 50:
-            raise ValueError("need at least 50 quadrature nodes")
-        if self.budget <= 0:
-            raise ValueError("need a positive split-search budget")
+        if not (0 < self.t_min <= 1e-4 and 1e4 <= self.t_max < math.inf):
+            raise ValueError("the grid must be finite and positive and cover at least [1e-4, 1e4]")
+        object.__setattr__(self, "nodes", as_integer("nodes", self.nodes, 50))
+        object.__setattr__(self, "budget", as_integer("budget", self.budget, 1))
 
 
 @dataclass(frozen=True)
@@ -574,9 +571,7 @@ def equal_norms_type(
     ``L2 sign average <= T * N^(1/p) * max_i gauge(x_i)`` over N-tuples."""
     if not (0 < p <= 2):
         raise ValueError("need 0 < p <= 2")
-    n, budget = as_integer("n", n), as_integer("budget", budget)
-    if not (1 <= n <= 12):
-        raise ValueError("need 1 <= N <= 12")
+    n, budget = as_integer("n", n, 1, 12), as_integer("budget", budget, 0)
     scale = n ** (1.0 / p)
 
     def objective(S):

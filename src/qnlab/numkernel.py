@@ -52,14 +52,24 @@ def as_matrix(a, rows=None, cols=None) -> np.ndarray:
     return m
 
 
-def as_integer(name: str, value) -> int:
-    """``int(value)``, refusing booleans and non-integral numbers that it
-    would silently truncate; integer strings such as ``"5"`` pass."""
+def as_integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """``int(value)`` for a count named ``name``, refusing booleans and
+    non-integral numbers that ``int`` would silently truncate (integral
+    floats and integer strings such as ``"5"`` pass).  ``low`` and ``high``
+    are optional inclusive bounds (``high`` only together with ``low``); a
+    value outside them raises ``ValueError`` naming the bounds."""
     if isinstance(value, (bool, np.bool_)) or (
         isinstance(value, (float, np.floating)) and not float(value).is_integer()
     ):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    n = int(value)
+    if (low is not None and n < low) or (high is not None and n > high):
+        if high is not None:
+            rule = f"an integer in [{low}, {high}]"
+        else:
+            rule = "a positive integer" if low == 1 else f"an integer of at least {low}"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return n
 
 
 def frozen_array(a) -> np.ndarray:

@@ -32,11 +32,10 @@ MAX_PROJECTION_N = 8
 _BATCH_ENTRIES = 1 << 16  # the most candidate entries one ascent batch holds
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True is checked, not served the entry for 1
 def sign_patterns(n: int) -> np.ndarray:
     """All 2^n sign rows, in the package's fixed bit order."""
-    if not (1 <= n <= MAX_EXACT_N):
-        raise ValueError(f"exact enumeration supports 1 <= n <= {MAX_EXACT_N}")
+    n = as_integer("n", n, 1, MAX_EXACT_N)
     j = np.arange(2**n)[:, None]
     bits = (j >> np.arange(n)[None, :]) & 1
     out = 1.0 - 2.0 * bits
@@ -105,9 +104,7 @@ def rademacher_average(
         return RademacherAverage(float(_sign_averages(space, V[None], q)[0]), 0.0, "exact", 2**n)
     if mode != "sampled":
         raise ValueError("mode must be 'exact' or 'sampled'")
-    samples = as_integer("samples", samples)
-    if samples < 10_000:
-        raise ValueError("sampled mode needs at least 10_000 patterns")
+    samples = as_integer("samples", samples, 10_000)
     signs = 1.0 - 2.0 * rng.generator().integers(0, 2, size=(samples, n))
     gauges = space.gauge_many(signs @ V)
     if math.isinf(q):
@@ -225,9 +222,7 @@ def type2_lower(
     """Certified lower bound for the sign-average domination constant
     ``L2 average of gauge_Y(u x_i sum) <= T * (sum gauge_X(x_i)^2)^(1/2)``
     over N-tuples, with the maximizing witness tuple."""
-    n, budget = as_integer("n", n), as_integer("budget", budget)
-    if not (1 <= n <= MAX_EXACT_N):
-        raise ValueError(f"need 1 <= N <= {MAX_EXACT_N}")
+    n, budget = as_integer("n", n, 1, MAX_EXACT_N), as_integer("budget", budget, 0)
 
     def objective(S):
         sq = _row_gauges(u.source, S) ** 2
@@ -245,9 +240,7 @@ def cotype2_lower(
 ) -> ConstantEstimate:
     """Certified lower bound for the reverse domination constant
     ``(sum gauge_Y(u x_i)^2)^(1/2) <= C * L2 average of gauge_X(x_i sum)``."""
-    n, budget = as_integer("n", n), as_integer("budget", budget)
-    if not (1 <= n <= MAX_EXACT_N):
-        raise ValueError(f"need 1 <= N <= {MAX_EXACT_N}")
+    n, budget = as_integer("n", n, 1, MAX_EXACT_N), as_integer("budget", budget, 0)
 
     def objective(S):
         avg = _sign_averages(u.source, S, 2.0)
@@ -270,9 +263,7 @@ def kconvexity_lower(
     and the L2 ratio ``|Pf| / |f|`` is maximized over f.  The witness is
     the table of f values, one row per sign pattern.
     """
-    n, budget = as_integer("n", n), as_integer("budget", budget)
-    if not (1 <= n <= MAX_PROJECTION_N):
-        raise ValueError(f"projection search capped at N = {MAX_PROJECTION_N}")
+    n, budget = as_integer("n", n, 1, MAX_PROJECTION_N), as_integer("budget", budget, 0)
     pats = sign_patterns(n)
     m = 2**n
     dx = u.source.dim

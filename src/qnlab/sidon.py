@@ -55,9 +55,9 @@ class FiniteAbelianGroup:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        factors = tuple(int(m) for m in self.factors)
-        if not factors or any(m < 2 for m in factors):
-            raise ValueError("need at least one factor, each of size >= 2")
+        factors = tuple(as_integer(f"factors[{j}]", m, 2) for j, m in enumerate(self.factors))
+        if not factors:
+            raise ValueError("need at least one factor")
         object.__setattr__(self, "factors", factors)
         if self.order > MAX_GROUP_ORDER:
             raise ValueError(f"group order capped at {MAX_GROUP_ORDER}")
@@ -87,7 +87,8 @@ class Character:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
+        exps = tuple(as_integer(f"exponents[{j}]", e) for j, e in enumerate(self.exponents))
+        object.__setattr__(self, "exponents", exps)
 
 
 def coordinate_characters(group: FiniteAbelianGroup) -> tuple[Character, ...]:
@@ -237,7 +238,7 @@ def imbalance_lower(
     """Certified lower bound for the worst moment-comparison imbalance
     ``max(ratio, 1/ratio)`` of ``cp_ratio`` over coefficient tuples, one
     vector per character, with the maximizing witness tuple."""
-    budget = as_integer("budget", budget)
+    budget = as_integer("budget", budget, 0)
     if not (p > 0):
         raise ValueError("p must be positive (math.inf allowed)")
     re, im = character_matrix(group, chars)

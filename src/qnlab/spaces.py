@@ -68,6 +68,7 @@ from scipy.special import gammaln
 from .numkernel import (
     MAX_DENSE_DIM,
     DegenerateMatrixError,
+    as_integer,
     as_matrix,
     as_spd,
     as_vector,
@@ -213,8 +214,7 @@ class QuasiNormedSpace:
 
 
 def unit_ball_volume(dim: int) -> float:
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    dim = as_integer("dim", dim, 1)
     return float(math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0))
 
 
@@ -237,11 +237,11 @@ class WeightedLp(QuasiNormedSpace):
 
     @classmethod
     def unweighted(cls, p: float, dim: int) -> "WeightedLp":
-        return cls(p, np.ones(dim))
+        return cls(p, np.ones(as_integer("dim", dim, 1)))
 
     @classmethod
     def euclidean(cls, dim: int) -> "WeightedLp":
-        return cls(2.0, np.ones(dim))
+        return cls(2.0, np.ones(as_integer("dim", dim, 1)))
 
     @classmethod
     def from_scales(cls, p: float, scales) -> "WeightedLp":
@@ -408,8 +408,8 @@ class Schatten(QuasiNormedSpace):
     def __post_init__(self):
         if not (0 < self.p <= 2):
             raise ValueError("Schatten exponent must lie in (0, 2]")
-        if not (1 <= self.rows <= 6 and 1 <= self.cols <= 6):
-            raise ValueError("Schatten shapes are capped at 6 per side")
+        for name in ("rows", "cols"):  # shapes are capped at 6 per side
+            object.__setattr__(self, name, as_integer(name, getattr(self, name), 1, 6))
 
     @property
     def dim(self) -> int:  # type: ignore[override]
@@ -657,9 +657,7 @@ def horn_check_many(a_stack, b_stack, ps, k: int) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"matrices must be finite and at most {MAX_DENSE_DIM} per side")
     if not (len(ps) >= 1 and all(0 < p <= 1 for p in ps)):
         raise ValueError("need at least one p, each in (0, 1]")
-    kmax = min(A.shape[1], A.shape[2], B.shape[2])
-    if not (1 <= k <= kmax):
-        raise ValueError(f"k must lie in [1, {kmax}]")
+    k = as_integer("k", k, 1, min(A.shape[1], A.shape[2], B.shape[2]))
     # bit for bit as one pair: compute_uv=False, or a cumsum over k', rounds differently
     s_ab, s_a, s_b = (np.linalg.svd(m, full_matrices=False)[1][:, :k] for m in (A @ B, A, B))
     v = np.stack([np.stack([s_ab**p, (s_a * s_b) ** p]) for p in ps], axis=1)
@@ -670,7 +668,7 @@ def horn_check_many(a_stack, b_stack, ps, k: int) -> tuple[np.ndarray, np.ndarra
 def horn_check(a, b, p: float, k: int) -> HornResult:
     """:func:`horn_check_many` on one pair, at p and k alone."""
     lhs, rhs, passed = horn_check_many(as_matrix(a)[None], as_matrix(b)[None], (p,), k)
-    return HornResult(float(lhs[0, 0, -1]), float(rhs[0, 0, -1]), p, k, bool(passed[0, 0, -1]))
+    return HornResult(float(lhs[0, 0, -1]), float(rhs[0, 0, -1]), p, lhs.shape[-1], bool(passed[0, 0, -1]))
 
 
 def quotient(space: QuasiNormedSpace, kernel_basis) -> QuasiNormedSpace:
@@ -710,9 +708,9 @@ def coordinate_section(space: WeightedLp, indices) -> WeightedLp:
     """Restriction of a weighted Lp space to a coordinate subset."""
     if not isinstance(space, WeightedLp):
         raise ValueError("coordinate sections are only defined for WeightedLp spaces")
-    idx = sorted(set(int(i) for i in indices))
-    if not idx or idx[0] < 0 or idx[-1] >= space.dim:
-        raise ValueError("index set out of range or empty")
+    idx = sorted({as_integer(f"indices[{j}]", i, 0, space.dim - 1) for j, i in enumerate(indices)})
+    if not idx:
+        raise ValueError("index set is empty")
     return WeightedLp(space.p, np.asarray(space.weights)[idx])
 
 

@@ -91,6 +91,13 @@ class TestSplitFunctional:
         assert kv.exact
         assert kv.value == pytest.approx(0.3 * sp.gauge([1.0, 1.0]))
 
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_non_finite_exponent_rejected(self, s):
+        # at s = inf the search valued every split at vals ** 0 = 1, so
+        # x = (100, 100) read 1.0 though every split costs at least |x| / 2
+        with pytest.raises(ValueError, match="finite exponent"):
+            k_functional(NormPair.diagonal([1.0, 2.0], [2.0, 1.0]), s, 1.0, [100.0, 100.0])
+
     def test_searched_value_is_bracketed(self):
         pair = NormPair.from_spaces(WeightedLp.unweighted(1.0, 3), WeightedLp.unweighted(math.inf, 3))
         x = np.array([1.0, -0.5, 0.25])
@@ -416,6 +423,12 @@ class TestIntermediateGauge:
             ThetaParams(0.5, nodes=10)
         with pytest.raises(ValueError):
             ThetaParams(0.5, t_min=1.0)
+
+    @pytest.mark.parametrize("grid", [{"t_min": -1.0}, {"t_min": 0.0}, {"t_max": math.inf}])
+    def test_degenerate_grid_rejected(self, grid):
+        # these ran to a NaN gauge, or failed inside np.geomspace
+        with pytest.raises(ValueError, match="grid"):
+            ThetaParams(0.5, **grid)
 
 
 class TestDerivedChecks:

@@ -1,5 +1,7 @@
 """Validators, dense linear algebra helpers, and splittable randomness."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from qnlab.numkernel import (
     DegenerateMatrixError,
     RandomSource,
+    as_integer,
     as_matrix,
     as_spd,
     as_vector,
@@ -53,6 +56,38 @@ class TestValidators:
         a = frozen_array([1.0, 2.0])
         with pytest.raises(ValueError):
             a[0] = 5.0
+
+
+class TestAsInteger:
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float64(3.0), "3"])
+    def test_integral_values_pass_as_int(self, value):
+        n = as_integer("n", value, 1, 3)
+        assert n == 3 and type(n) is int
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False), 2.5, np.float64(0.5), math.inf, math.nan])
+    def test_non_integers_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            as_integer("n", value, 0, 10)
+
+    @pytest.mark.parametrize(
+        "low,high,bad,message",
+        [
+            (1, None, 0, "n must be a positive integer, got 0"),
+            (0, None, -1, "n must be an integer of at least 0, got -1"),
+            (10_000, None, 9_999, "n must be an integer of at least 10000, got 9999"),
+            (1, 12, 13, r"n must be an integer in \[1, 12\], got 13"),
+            (1, 12, 0, r"n must be an integer in \[1, 12\], got 0"),
+        ],
+    )
+    def test_bounds_are_inclusive(self, low, high, bad, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            as_integer("n", bad, low, high)
+        for edge in (low, high):
+            if edge is not None:
+                assert as_integer("n", edge, low, high) == edge
+
+    def test_no_bounds_takes_any_integer(self):
+        assert as_integer("n", -7) == -7
 
 
 class TestLinearAlgebra:
