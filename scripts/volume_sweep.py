@@ -1,6 +1,9 @@
 #!/usr/bin/env python
 """Sweep Monte Carlo unit-ball volumes against closed forms across
-exponents and dimensions, printing one line per case.
+exponents and dimensions, printing one line per case: the estimate, its
+deviation, its wall seconds s and relerr * sqrt(s), the standard error
+reached per second (relative stderr times the root of the time spent, so
+lower is better and it does not depend on the sample count).
 
 Exits 1 when any estimate lies beyond 5 standard errors (plus 1e-9 of the
 closed form) from the closed form, 0 otherwise.
@@ -9,7 +12,9 @@ Usage: python scripts/volume_sweep.py [--seed N] [--samples M] [--dims 2 3 4]
 """
 
 import argparse
+import math
 import sys
+import time
 
 from qnlab.geometry import volume
 from qnlab.numkernel import RandomSource
@@ -29,14 +34,18 @@ def main() -> int:
         for d in args.dims:
             space = WeightedLp.unweighted(p, d)
             exact = volume(space, "closed-form")
+            start = time.perf_counter()
             mc = volume(space, "monte-carlo", rng.split(i, d), args.samples)
+            wall = time.perf_counter() - start
             rel = abs(mc.value - exact.value) / exact.value
             worst = max(worst, rel)
             off = abs(mc.value - exact.value) > 5.0 * mc.stderr + 1e-9 * exact.value
             beyond += off
             print(
                 f"p={p:<8.4f} dim={d}  closed={exact.value:.6e}  "
-                f"mc={mc.value:.6e} +- {mc.stderr:.1e}  rel={rel:.2e}" + ("  BEYOND 5 STDERR" if off else "")
+                f"mc={mc.value:.6e} +- {mc.stderr:.1e}  rel={rel:.2e}  "
+                f"wall={wall:.4f}s  relerr*sqrt(s)={mc.stderr / mc.value * math.sqrt(wall):.2e}"
+                + ("  BEYOND 5 STDERR" if off else "")
             )
     print(f"worst relative deviation: {worst:.2e}; {beyond} case(s) beyond 5 stderr")
     return 1 if beyond else 0

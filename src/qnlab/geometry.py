@@ -10,10 +10,11 @@ symmetric positive-definite.  This module computes
 * volumes, exactly where a closed form or a fan triangulation applies and
   otherwise by averaging the radial function over Gaussian directions of
   the enclosing ellipsoid (terms in [0, 1], see :func:`volume`).  Each
-  Gaussian row is read through ``_MC_FRAMES`` = 4 random orthogonal frames
-  drawn once per estimate, so one row gives four directions; the standard
-  error is taken over rows, which are independent, and the
-  effective-sample guard over directions;
+  Gaussian row is read through ``_MC_FRAMES`` = 16 random orthogonal
+  frames drawn once per estimate, so one row gives sixteen directions, and
+  rows are drawn ``_MC_CHUNK`` = 1,024 at a time; the standard error is
+  taken over rows, which are independent, and the effective-sample guard
+  over directions;
 * the outer volume ratio of a ball, the polar comparison of that ratio
   with the dual ball's inner ratio, and the section/projection
   inequality.
@@ -43,7 +44,6 @@ from .numkernel import (
     as_spd,
     dedup_rows,
     frozen_array,
-    gram_schmidt,
     require_symmetric_rows,
     spd_power,
 )
@@ -56,12 +56,12 @@ from .spaces import (
 )
 
 _MC_MIN_SAMPLES = 10_000
-_MC_FRAMES = 4  # random orthogonal frames that read each Gaussian row as that many directions
-# Gaussian rows per draw: one gauge_many call of _MC_FRAMES times as many
-# directions, cache-sized.  Draws from one generator concatenate, and the
-# row sums behind the stderr never straddle two draws, so the result does
-# not depend on the chunk
-_MC_CHUNK = 4_096
+_MC_FRAMES = 16  # random orthogonal frames that read each Gaussian row as that many directions
+# Gaussian rows per draw: one gauge_many call of _MC_FRAMES * _MC_CHUNK =
+# 16,384 directions, cache-sized.  Draws from one generator concatenate, and
+# the row sums behind the stderr never straddle two draws, so the result
+# does not depend on the chunk
+_MC_CHUNK = 1_024
 _MC_MIN_ESS = 2_000  # fewest effective samples a monte-carlo volume may rest on
 _MVEE_TOLERANCE = 1e-7  # relative stopping slack of the enclosing-ellipsoid iteration
 _MVEE_MAX_ITER = 200_000
@@ -208,6 +208,13 @@ class VolumeEstimate:
     samples: int = 0
 
 
+def _orthonormal_rows(stack: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt of the rows of each matrix in a stack of square ones, as
+    one batched QR of the transposes with R's diagonal made positive."""
+    q, r = np.linalg.qr(np.swapaxes(stack, 1, 2))
+    return np.swapaxes(q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :], 1, 2)
+
+
 def _mc_volume(space: QuasiNormedSpace, rng: RandomSource, samples: int) -> VolumeEstimate:
     samples = as_integer("samples", samples, _MC_MIN_SAMPLES)
     proposal = mvee_of_ball(space)
@@ -217,29 +224,33 @@ def _mc_volume(space: QuasiNormedSpace, rng: RandomSource, samples: int) -> Volu
     gen = rng.generator()
     # frame F_j reads the Gaussian row z as the direction z F_j root: z F_j
     # is again standard Gaussian, and |z F_j| = |z|
-    lift = np.hstack([gram_schmidt(a) @ root for a in gen.standard_normal((k, d, d))])
-    # terms shifted by the first chunk's mean keep the variance exact when
+    lift = np.concatenate(_orthonormal_rows(gen.standard_normal((k, d, d))) @ root, axis=1)
+    # terms shifted by the first block's mean keep the variance exact when
     # they are (nearly) constant, as for a quadratic ball.  s1 and s2 sum
     # them per direction; r2, rn and nn sum U ** 2, n U and n ** 2 per row,
     # where a row's U sums its n <= k shifted terms
     shift = s1 = s2 = r2 = rn = nn = 0.0
-    rows = -(-samples // k)
-    for start in range(0, rows, _MC_CHUNK):
-        z = gen.standard_normal((min(_MC_CHUNK, rows - start), d))
-        m = min(len(z) * k, samples - start * k)  # the last row may carry fewer than k
-        norms = np.repeat(np.sqrt(np.einsum("ij,ij->i", z, z)), k)[:m]
-        terms = norms / space.gauge_many((z @ lift).reshape(-1, d)[:m])
+    # rows come in blocks shaped (rows, directions per row): the full rows
+    # in chunks, then the last row alone if it carries fewer than k
+    full, left = divmod(samples, k)
+    blocks = [(min(_MC_CHUNK, full - start), k) for start in range(0, full, _MC_CHUNK)]
+    if left:
+        blocks.append((1, left))
+    for i, (n, width) in enumerate(blocks):
+        z = gen.standard_normal((n, d))
+        gauges = space.gauge_many((z @ lift[:, : width * d]).reshape(-1, d))
+        terms = np.sqrt(np.einsum("ij,ij->i", z, z))[:, None] / gauges.reshape(n, width)
         np.power(terms, d, out=terms)
-        if start == 0:
+        if i == 0:
             shift = float(terms.mean())
         terms -= shift
-        s1 += float(terms.sum())
-        s2 += float(terms @ terms)
-        row = np.arange(m) // k
-        row_sums, sizes = np.bincount(row, terms), np.bincount(row)
+        row_sums = terms.sum(axis=1)
+        total = float(row_sums.sum())
+        s1 += total
+        s2 += float(terms.ravel() @ terms.ravel())
         r2 += float(row_sums @ row_sums)
-        rn += float(sizes @ row_sums)
-        nn += float(sizes @ sizes)
+        rn += width * total
+        nn += n * width**2
     offset = s1 / samples
     mean = shift + offset
     if not mean**2 > 0.0:  # the squared terms, and so the stderr, underflow first
@@ -277,15 +288,16 @@ def volume(
     the enclosing ellipsoid E = {x : x' Q x <= 1}: vol B = vol E * mean(t)
     with t = (|z| / g(Q^(-1/2) z)) ** d over ``samples`` standard Gaussian
     directions z.  Each term is the hit-or-miss chance along one direction,
-    in [0, 1] as B lies in E.  The directions come four to a Gaussian row
-    z0: ``_MC_FRAMES`` = 4 random orthogonal frames F_j, drawn first from
-    the same generator (Gram-Schmidt of a Gaussian matrix), read it as
-    z = z0 F_j, again standard Gaussian with |z| = |z0|.  So ceil(samples /
-    4) rows give exactly ``samples`` directions, the last row perhaps fewer
-    than four.  Rows are independent and the directions of one row are
-    not, so the stderr is the cluster one over rows,
-    sqrt(sum_g (T_g - n_g mean) ** 2) / samples for a row g whose n_g
-    terms sum to T_g.  A thin ball (a spiky r-hull) puts its mean on rare
+    in [0, 1] as B lies in E.  The directions come sixteen to a Gaussian
+    row z0: ``_MC_FRAMES`` = 16 random orthogonal frames F_j, drawn first
+    from the same generator (Gram-Schmidt of a Gaussian matrix), read it as
+    z = z0 F_j, again standard Gaussian with |z| = |z0|, so a direction
+    costs d / 16 normal draws.  So ceil(samples / 16) rows, drawn
+    ``_MC_CHUNK`` = 1,024 at a time, give exactly ``samples`` directions,
+    the last row perhaps fewer than sixteen.  Rows are independent and the
+    directions of one row are not, so the stderr is the cluster one over
+    rows, sqrt(sum_g (T_g - n_g mean) ** 2) / samples for a row g whose
+    n_g terms sum to T_g.  A thin ball (a spiky r-hull) puts its mean on rare
     directions, and a sample that misses them reads low with too small a
     stderr; so fewer than ``_MC_MIN_ESS`` = 2,000 effective samples
     ``sum(t) ** 2 / sum(t ** 2)``, counted over directions, raise

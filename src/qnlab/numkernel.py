@@ -194,7 +194,9 @@ def orthonormal_complement(kernel, dim: int | None = None) -> np.ndarray:
 class RandomSource:
     """Deterministic splittable randomness.
 
-    ``seed`` is a 64-bit unsigned integer, ``path`` the split history.
+    ``seed`` is a 64-bit unsigned integer, ``path`` the split history of
+    integer indices; a boolean seed, or a boolean or fractional index,
+    raises ``ValueError``.
     Identical (seed, path) pairs always produce identical streams; splits
     with distinct indices never collide.  Sweeps should split once per
     trial rather than share a source, which keeps every trial reproducible
@@ -205,13 +207,15 @@ class RandomSource:
     path: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        object.__setattr__(self, "path", tuple(int(i) for i in self.path))
+        # split runs thousands of times per experiment: plain ints skip the check
+        path = tuple(i if type(i) is int else as_integer("split index", i) for i in self.path)
+        object.__setattr__(self, "path", path)
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
         return np.random.Generator(np.random.Philox(ss))
 
     def split(self, *indices: int) -> "RandomSource":
-        return RandomSource(self.seed, self.path + tuple(int(i) for i in indices))
+        return RandomSource(self.seed, self.path + indices)

@@ -438,7 +438,9 @@ class Polytope(QuasiNormedSpace):
     """Convex hull of a symmetric full-dimensional vertex set; r_exponent 1.
 
     For dim <= 5 the gauge is the facet form ``max_f <n_f, x>`` over the
-    hull's outer normals.  Above that it is the optimal value of the exact
+    hull's outer normals, taken facet-major: ``normals @ points.T`` and a
+    max down each column, so the reduction runs across the short facet
+    axis of a long batch.  Above that it is the optimal value of the exact
     linear program ``min sum(lam) : vertices.T @ lam = x, lam >= 0``
     (HiGHS, deterministic for fixed input), one solve per row.  The two
     agree to solver precision and the test suite checks that.
@@ -468,7 +470,7 @@ class Polytope(QuasiNormedSpace):
 
     def _gauge_rows(self, pts: np.ndarray) -> np.ndarray:
         if self.dim <= 5:
-            return np.max(pts @ self.facet_normals.T, axis=1)
+            return (self.facet_normals @ pts.T).max(axis=0)
         out = np.zeros(pts.shape[0])
         for i, v in enumerate(pts):
             scale = float(np.max(np.abs(v)))

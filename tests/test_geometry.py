@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnlab import geometry
-from qnlab.numkernel import RandomSource, spd_power
+from qnlab.numkernel import RandomSource, gram_schmidt, spd_power
 from qnlab.geometry import (
     Ellipsoid,
     inscribed_ellipsoid,
@@ -25,6 +25,15 @@ from qnlab.spaces import Polytope, Quadratic, RConvexAtoms, Schatten, WeightedLp
 SQUARE = Polytope(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
 CROSS2 = Polytope(np.vstack([np.eye(2), -np.eye(2)]))
 SPD3 = np.array([[2.0, 0.7, 0.0], [0.7, 1.5, 0.3], [0.0, 0.3, 1.0]])
+
+
+def last_row_counts(base):
+    """Sample counts from the first multiple of ``_MC_FRAMES`` at or above
+    ``base`` whose last Gaussian row carries 0 (a full row), 1 and k - 1
+    directions beyond the full rows."""
+    k = geometry._MC_FRAMES
+    full = -(-base // k) * k
+    return [full, full + 1, full + k - 1]
 
 
 def cube_vertices(d):
@@ -201,7 +210,7 @@ class TestVolume:
         assert est.value == pytest.approx(ref.value, rel=1e-12)
         assert est.stderr == pytest.approx(ref.stderr, rel=1e-9)
 
-    @pytest.mark.parametrize("samples", [10_001, 10_002, 10_003])
+    @pytest.mark.parametrize("samples", last_row_counts(10_000))
     def test_monte_carlo_counts_every_sample(self, samples, monkeypatch):
         # the frames read each Gaussian row as several directions, and the
         # last row carries only what is left of the count
@@ -241,12 +250,12 @@ class TestVolume:
             ]
             assert 0.7 <= np.mean(np.square(z)) <= 1.4
 
-    @pytest.mark.parametrize("samples", [40_000, 40_002])
+    @pytest.mark.parametrize("samples", last_row_counts(40_000))
     def test_monte_carlo_stderr_is_taken_over_rows(self, samples, monkeypatch):
         # with every frame the identity, a row's directions coincide: the
         # estimate rests on its rows, weighted by the directions they carry,
-        # and a stderr over single directions would read half the true one
-        monkeypatch.setattr(geometry, "gram_schmidt", lambda a: np.eye(len(a)))
+        # and a stderr over single directions would read 1 / sqrt(k) of the true one
+        monkeypatch.setattr(geometry, "_orthonormal_rows", lambda a: np.broadcast_to(np.eye(a.shape[1]), a.shape))
         space = WeightedLp(1.0, [1.0, 2.0, 0.7])
         est = volume(space, "monte-carlo", RandomSource(5), samples)
         proposal = mvee_of_ball(space)
@@ -259,6 +268,12 @@ class TestVolume:
         mean = n @ t / samples
         assert est.value == pytest.approx(proposal.volume() * mean, rel=1e-12)
         assert est.stderr == pytest.approx(proposal.volume() * np.linalg.norm(n * (t - mean)) / samples, rel=1e-9)
+
+    def test_monte_carlo_frames_are_gram_schmidt_frames(self):
+        stack = RandomSource(8).generator().standard_normal((geometry._MC_FRAMES, 5, 5))
+        frames = geometry._orthonormal_rows(stack)
+        for a, f in zip(stack, frames):
+            assert f == pytest.approx(gram_schmidt(a), abs=1e-12)
 
     def test_monte_carlo_defaults_rng_and_needs_enough_samples(self):
         default = volume(SQUARE, method="monte-carlo", samples=50_000)

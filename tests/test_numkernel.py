@@ -183,6 +183,26 @@ class TestRandomSource:
         with pytest.raises(ValueError):
             RandomSource(2**64)
 
+    @pytest.mark.parametrize("seed", [True, False, np.bool_(True)])
+    def test_boolean_seed_rejected(self, seed):
+        # bool is an int subclass: True would read as seed 1
+        with pytest.raises(ValueError, match="seed must be"):
+            RandomSource(seed)
+
+    @pytest.mark.parametrize("index", [True, np.bool_(False), 2.5, np.float64(0.5)])
+    def test_non_integer_split_index_rejected(self, index):
+        with pytest.raises(ValueError, match="split index must be an integer"):
+            RandomSource(3).split(1, index)
+        with pytest.raises(ValueError, match="split index must be an integer"):
+            RandomSource(3, (index,))
+
+    def test_integral_split_indices_read_as_ints(self):
+        # numpy integers and integral floats name the same split as the int
+        ref = RandomSource(3).split(1, 2)
+        for other in (RandomSource(3).split(np.int64(1), 2.0), RandomSource(3, (np.uint8(1), np.int32(2)))):
+            assert other == ref and all(type(i) is int for i in other.path)
+            assert np.array_equal(other.generator().standard_normal(3), ref.generator().standard_normal(3))
+
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=50))
     @settings(max_examples=25, deadline=None)
     def test_split_reproducibility_property(self, seed, idx):

@@ -1,5 +1,6 @@
 """Gauges, duals, envelopes, operators, quotients, and sections."""
 
+import itertools
 import math
 
 import numpy as np
@@ -294,6 +295,25 @@ class TestPolytopeAndAtoms:
             ref = lp_gauge(half, x)
             assert poly.gauge(x) == pytest.approx(ref, rel=1e-9)
             assert atoms.envelope_gauge(x) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("batch", [1, 7, 16_384])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_facet_form_is_the_per_row_max(self, dim, batch):
+        # cube and doubled cross-polytope vertices, scaled per axis by powers
+        # of two, have dyadic facet normals; with dyadic points every
+        # <n_f, x> is exact in double precision, whatever summation order or
+        # fused multiply-adds the matrix product takes for a batch shape.  So
+        # the facet form must equal the exact per-row max bit for bit
+        cube = np.array(list(itertools.product([-1.0, 1.0], repeat=dim)))
+        cross = 2.0 * np.vstack([np.eye(dim), -np.eye(dim)])
+        poly = Polytope(np.vstack([cube, cross]) * 2.0 ** np.arange(-1, dim - 1))
+        normals = np.asarray(poly.facet_normals) * 64
+        assert np.array_equal(normals, np.round(normals)), "facet normals are not multiples of 1/64"
+        x = RandomSource(41).split(dim, batch).generator().integers(-64, 65, (batch, dim))
+        exact = (normals.astype(np.int64) @ x.T).max(axis=0) / 1024.0
+        got = poly.gauge_many(x / 16.0)
+        assert np.array_equal(got, exact)
+        assert [poly.gauge(row / 16.0) for row in x[:7]] == got[:7].tolist()
 
     def test_lp_route_above_dim_five(self):
         # the cross-polytope is the l1 ball; dim 6 solves one LP per row
